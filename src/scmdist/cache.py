@@ -4,8 +4,9 @@ Gram construction is the dominant repeated cost when the same dataset and
 variables are queried at many intervention values or across many variable
 pairs.  A :class:`GramCache` keys Grams by (row dataset, column dataset,
 variable tuple, bandwidth) and Cholesky factors additionally by the total
-ridge.  Reads are lock-free; construction is serialized per cache so each
-key is built once.  Entries are evicted least-recently-used.
+ridge.  Lookups and construction are serialized by one lock per cache, so
+each key is built once and every hit refreshes its entry's recency.  Entries
+are evicted least-recently-used.
 
 Dataset identity is the dataset ``id`` string: within one cache lifetime an
 id must always refer to the same object (enforced), so cached entries can
@@ -38,7 +39,8 @@ class CholFactor:
         self.ridge = ridge
         jit = float(jitter)
         while True:
-            m = matrix.copy()
+            # a Fortran-ordered copy, which LAPACK factors in place
+            m = np.array(matrix, order="F")
             m[np.diag_indices_from(m)] += ridge + jit
             try:
                 self._factor = cho_factor(m, lower=True, overwrite_a=True, check_finite=False)
@@ -79,9 +81,6 @@ class GramCache:
             )
 
     def _get_or_build(self, key, build):
-        entry = self._entries.get(key)
-        if entry is not None:
-            return entry
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:

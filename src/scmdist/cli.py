@@ -114,7 +114,7 @@ def build_parser() -> _Parser:
     p.add_argument("--jitter", type=float, default=1e-10)
     p.add_argument("--threads", type=int,
                    default=int(os.environ.get("SCMDIST_THREADS", "1")),
-                   help="parallel pair computations (default $SCMDIST_THREADS or 1)")
+                   help="worker threads over environments and targets (default $SCMDIST_THREADS or 1)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--cost-budget", type=float, default=DEFAULT_COST_BUDGET)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .dataset import Dataset
 from .errors import ValidationError
@@ -218,6 +217,10 @@ def _linear_bin_1d(x: np.ndarray, lo: float, h: float, m: int) -> np.ndarray:
 
 
 def _binned_vstat_sum_1d(a, b, lo, h, m, s2):
+    # imported here, not at module level: scipy.signal is most of the
+    # package's import time, which every CLI process pays
+    from scipy.signal import fftconvolve
+
     wa = _linear_bin_1d(a, lo, h, m)
     wb = _linear_bin_1d(b, lo, h, m)
     r = min(m - 1, int(np.ceil(10.0 * math.sqrt(s2) / h)))
@@ -238,6 +241,8 @@ def _bilinear_bin_2d(pts, lo, h, shape):
 
 
 def _binned_vstat_sum_2d(a, b, lo, h, shape, s2):
+    from scipy.signal import fftconvolve
+
     wa = _bilinear_bin_2d(a, lo, h, shape)
     wb = _bilinear_bin_2d(b, lo, h, shape)
     r = int(np.ceil(10.0 * math.sqrt(s2) / h))

@@ -2,8 +2,9 @@
 
 Each node draws its exogenous noise from its own named random stream,
 derived from (seed, node name).  Sampling therefore does not depend on the
-order in which nodes were declared, and a fixed (model, n, seed) triple
-reproduces the dataset bit for bit.
+order in which nodes were declared.  Parent contributions are added in
+sorted name order, never in the hash order of a set, so a fixed
+(model, n, seed) triple reproduces the dataset bit for bit in any process.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def sample_scm(m: LinearGaussianScm, n: int, seed: int, id: str | None = None) -
     for node in m.dag.topological_order():
         col = _node_rng(seed, node).normal(0.0, np.sqrt(m.noise_variances[node]), size=n)
         col += m.intercepts.get(node, 0.0)
-        for parent in m.dag.parents(node):
+        for parent in sorted(m.dag.parents(node)):
             col += m.coefficients.get((parent, node), 0.0) * values[parent]
         values[node] = col
     if id is None:

@@ -152,6 +152,37 @@ def mimd_sq_double_sum(w1, y1, w2, y2, bandwidth_sq: float) -> float:
     return total
 
 
+def scmd_pair_terms_loop(g1, d1, v1, g2, d2, v2, cfg, cache=None) -> dict:
+    """SCMD pair terms by the per-pair definition: for every ordered pair
+    (i, j), one weight vector per side from ``omega`` and the three quadratic
+    forms w1'K1w1 - 2 w1'K12w2 + w2'K2w2 over Grams assembled here.
+
+    ``v1``, ``v2`` map each variable to its intervention value.  No canonical
+    ordering of the two sides is applied.
+    """
+    from scmdist import GramCache, omega
+
+    cache = cache or GramCache()
+    s2 = cfg.kernel.bandwidth_sq
+
+    def gram(a, b):
+        return np.exp(-np.subtract.outer(a, b) ** 2 / (2.0 * s2))
+
+    names = sorted(d1.variable_names)
+    terms = {}
+    for i in names:
+        for j in names:
+            if i == j:
+                continue
+            w1 = omega(g1, d1, i, j, v1[i], cfg, cache).weights
+            w2 = omega(g2, d2, i, j, v2[i], cfg, cache).weights
+            y1, y2 = d1.column(j), d2.column(j)
+            sq = (w1 @ gram(y1, y1) @ w1 - 2.0 * (w1 @ gram(y1, y2) @ w2)
+                  + w2 @ gram(y2, y2) @ w2)
+            terms[(i, j)] = math.sqrt(max(sq, 0.0))
+    return terms
+
+
 def mmd_vstat_naive(a: np.ndarray, b: np.ndarray, bandwidth_sq: float) -> float:
     """Full-matrix V-statistic for 1-D or multi-D samples."""
     a = np.atleast_2d(np.asarray(a, dtype=float).T).T

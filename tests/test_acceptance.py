@@ -163,7 +163,10 @@ def test_acceptance_2_case2_kernel_estimator(runs):
     against 0.4894.  Where the published (Y,X) value 0.5984 comes from is
     open: it matches neither the raw-units closed form (0.4894) nor an
     intervention at the standardized value sqrt(10) (0.6315 closed form,
-    0.658 / 0.620 estimated).  An estimator drifting to that standardized
+    0.658 / 0.620 estimated), nor adjusting the second environment's (Y,X)
+    weights for Z = {X} taken from the other graph (0.179 at N = 4000, two
+    seeds, where the conditional reading gives 0.503 on the same samples).
+    An estimator drifting to that standardized
     reading (1.03-1.06 in total) falls outside the band.
     """
     mean = runs["scmd2"].mean()

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import scmdist
 
 from scmdist import NumericalError, load_dataset, sample_m1, sample_m2, save_dataset, save_graph
 from scmdist.cli import main
@@ -190,3 +196,11 @@ def test_out_flag_writes_file(tmp_path, fwd_graph):
     assert main(["mmd", "--data1", p1, "--data2", p3, "--sigma-sq", "0.1",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["kind"] == "mmd"
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = str(Path(scmdist.__file__).resolve().parents[1])
+    code = "import sys, scmdist.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

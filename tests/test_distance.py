@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from scmdist import (
     GramCache,
     InterventionSpec,
     KernelConfig,
+    LinearGaussianScm,
     ValidationError,
     e_scmd,
     mimd,
@@ -15,12 +18,14 @@ from scmdist import (
     omega,
     p_scmd,
     pairwise_matrix,
+    sachs_expert_graph,
     sample_m1,
     sample_m2,
+    sample_scm,
     scmd,
 )
 
-from oracles import mimd_sq_double_sum, mmd_vstat_naive, random_dag
+from oracles import mimd_sq_double_sum, mmd_vstat_naive, random_dag, scmd_pair_terms_loop
 
 FWD = Dag(["X", "Y"], [("X", "Y")])
 REV = Dag(["X", "Y"], [("Y", "X")])
@@ -172,10 +177,13 @@ def test_mmd_vstat_identical_zero():
 def test_mmd_vstat_blocked_matches_naive():
     d1 = sample_m1(3, 300, 27)
     d2 = sample_m2(3, 350, 28)  # unequal sizes exercise the cross terms
-    got = mmd_vstat(d1, d2, KernelConfig(0.1), block=64)
     a = np.column_stack([d1.column(v) for v in sorted(d1.variable_names)])
     b = np.column_stack([d2.column(v) for v in sorted(d2.variable_names)])
-    assert got == pytest.approx(mmd_vstat_naive(a, b, 0.1), abs=1e-12)
+    expect = mmd_vstat_naive(a, b, 0.1)
+    # blocks that divide neither size, single rows, and one block per sample
+    for block in (64, 1, 512):
+        got = mmd_vstat(d1, d2, KernelConfig(0.1), block=block)
+        assert got == pytest.approx(expect, abs=1e-12)
 
 
 def test_mmd_vstat_variable_name_mismatch():
@@ -260,12 +268,103 @@ def test_scmd_supports_unequal_sample_sizes():
 
 def test_mimd_large_negative_square_raises(monkeypatch):
     import scmdist.distance as dist_mod
+    from scmdist import NumericalError
 
     d1 = sample_m1(3, 50, 46)
     d2 = sample_m1(5, 50, 47)
-    monkeypatch.setattr(dist_mod, "_mimd_sq", lambda *a, **k: -1.0)
-    from scmdist import NumericalError
+    real = dist_mod._sq_tables
 
+    def last_first_negative(*args, **kwargs):
+        # the combination (last value on side 1, first value on side 2)
+        tables = real(*args, **kwargs)
+        for table in tables:
+            for sq in table.values():
+                sq[-1, 0] = -1.0
+        return tables
+
+    monkeypatch.setattr(dist_mod, "_sq_tables", last_first_negative)
     with pytest.raises(NumericalError) as err:
         mimd(FWD, d1, FWD, d2, "X", "Y", 1.0, 1.0, CFG)
     assert "ridge_lambda" in str(err.value)
+    # every combination a reduction uses is checked, and only those
+    with pytest.raises(NumericalError):
+        e_scmd(FWD, d1, FWD, d2, [0.25, 0.75], CFG, pairing="grid")
+    e_scmd(FWD, d1, FWD, d2, [0.25, 0.75], CFG, pairing="paired")
+
+
+def _quantiles(d, level):
+    return {v: d.quantile(v, level) for v in d.variable_names}
+
+
+@pytest.mark.parametrize("pairing", ["grid", "paired"])
+def test_e_scmd_matches_per_pair_loop_over_combinations(pairing):
+    d1 = sample_m1(3, 120, 50)
+    d3 = sample_m2(3, 130, 51)
+    levels = [0.2, 0.5, 0.5, 0.9]  # a repeated level counts twice
+    if pairing == "grid":
+        combos = [(q1, q2) for q1 in levels for q2 in levels]
+    else:
+        combos = [(q, q) for q in levels]
+    cache = GramCache(capacity=32)
+    runs = [scmd_pair_terms_loop(FWD, d1, _quantiles(d1, q1), REV, d3, _quantiles(d3, q2),
+                                 CFG, cache) for q1, q2 in combos]
+    got = e_scmd(FWD, d1, REV, d3, levels, CFG, pairing=pairing)
+    expect = math.fsum(math.fsum(t.values()) for t in runs) / len(runs)
+    assert abs(got.value - expect) <= 1e-12
+    for p, term in got.pair_terms.items():
+        assert abs(term - math.fsum(t[p] for t in runs) / len(runs)) <= 1e-12
+    swapped = e_scmd(REV, d3, FWD, d1, levels, CFG, pairing=pairing)
+    assert swapped.value == got.value
+
+
+def _multi_parent_envs():
+    # C has parents {A, B}; D has parents {A, C}
+    g = Dag(["A", "B", "C", "D"], [("A", "C"), ("B", "C"), ("C", "D"), ("A", "D")])
+    envs = []
+    for k, slope in enumerate((0.8, -0.6, 1.2)):
+        coeffs = {("A", "C"): slope, ("B", "C"): 0.7, ("C", "D"): -slope, ("A", "D"): 0.5}
+        model = LinearGaussianScm(g, coeffs, {v: 1.0 for v in g.nodes},
+                                  intercepts={"A": 0.5 * k})
+        envs.append(sample_scm(model, 90 + 10 * k, 60 + k, id=f"multi-{2 - k}"))
+    return g, envs
+
+
+def test_pairwise_matrix_matches_per_pair_scmd_loop():
+    g, envs = _multi_parent_envs()
+    cfg = EstimatorConfig(kernel=KernelConfig(0.5), ridge_lambda=0.5)
+    m = pairwise_matrix(envs, g, "scmd", cfg)
+    cache = GramCache(capacity=64)
+    for r in range(len(envs)):
+        for c in range(r + 1, len(envs)):
+            means = [InterventionSpec.from_means(e).values for e in (envs[r], envs[c])]
+            terms = scmd_pair_terms_loop(g, envs[r], means[0], g, envs[c], means[1], cfg, cache)
+            report = m.reports[(envs[r].id, envs[c].id)]
+            assert abs(m.values[r, c] - math.fsum(terms.values())) <= 1e-12
+            for p, term in terms.items():
+                assert abs(report.pair_terms[p] - term) <= 1e-12
+    assert np.array_equal(m.values, pairwise_matrix(envs, g, "scmd", cfg, threads=2).values)
+
+
+def test_pairwise_matrix_factorizes_each_key_once(monkeypatch):
+    import scmdist.cache as cache_mod
+
+    labels = []
+    real = cache_mod.CholFactor.__init__
+
+    def counting(self, matrix, ridge, jitter, label):
+        labels.append(label)
+        real(self, matrix, ridge, jitter, label)
+
+    monkeypatch.setattr(cache_mod.CholFactor, "__init__", counting)
+    g = sachs_expert_graph()
+    rng = np.random.default_rng(70)
+    envs = []
+    for k in range(3):
+        coeffs = {e: float(rng.uniform(0.5, 1.0)) for e in sorted(g.edges)}
+        model = LinearGaussianScm(g, coeffs, {v: 1.0 for v in g.nodes})
+        envs.append(sample_scm(model, 60, 70 + k, id=f"sachs-{k}"))
+    pairwise_matrix(envs, g, "scmd", EstimatorConfig(kernel=KernelConfig(1.0)))
+    keys = {(e.id, (i,) + tuple(sorted(g.parents(i))))
+            for e in envs for i in g.nodes if g.descendants(i)}
+    assert len(labels) == len(keys)
+    assert len(set(labels)) == len(labels)

@@ -241,3 +241,29 @@ def test_cache_evicts_least_recently_used():
     cache.gram(d, d, ("X", "Y"), kcfg)  # evicts the oldest entry
     again = cache.gram(d, d, ("X",), kcfg)
     assert np.array_equal(first, again)
+
+
+def test_cache_hit_refreshes_recency(monkeypatch):
+    import scmdist.cache as cache_mod
+
+    builds = []
+    real = cache_mod.gram_entries
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "gram_entries", counting)
+    rng = np.random.default_rng(92)
+    d = Dataset({v: rng.normal(size=20) for v in ("A", "B", "C")}, id="lru")
+    cache = GramCache(capacity=2)
+    kcfg = KernelConfig(0.5)
+    cache.gram(d, d, ("A",), kcfg)
+    cache.gram(d, d, ("B",), kcfg)
+    cache.gram(d, d, ("A",), kcfg)  # a hit: A becomes the most recent
+    cache.gram(d, d, ("C",), kcfg)  # evicts B, the least recently used
+    assert len(builds) == 3
+    cache.gram(d, d, ("A",), kcfg)
+    assert len(builds) == 3
+    cache.gram(d, d, ("B",), kcfg)
+    assert len(builds) == 4

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import scmdist
 
 from scmdist import Dag, LinearGaussianScm, ValidationError, sample_m1, sample_m2, sample_scm
 from scmdist.synth import m1_scm
@@ -86,3 +93,30 @@ def test_model_validation():
         LinearGaussianScm(dag, {}, {"X": 1.0, "Y": 0.0})
     with pytest.raises(ValidationError):
         sample_scm(LinearGaussianScm(dag, {}, {"X": 1.0, "Y": 1.0}), 0, 0)
+
+
+SACHS_SAMPLE = """
+import hashlib
+import numpy as np
+import scmdist as sd
+g = sd.sachs_expert_graph()
+rng = np.random.default_rng(5)
+coefficients = {e: float(rng.uniform(-1.0, 1.0)) for e in sorted(g.edges)}
+model = sd.LinearGaussianScm(g, coefficients, {v: 1.0 for v in g.nodes})
+data = sd.sample_scm(model, 400, 11)
+for v in sorted(g.nodes):
+    print(v, hashlib.sha256(data.column(v).tobytes()).hexdigest())
+"""
+
+
+def test_sample_scm_bitwise_equal_across_hash_seeds():
+    # parents are summed in name order, never in the hash order of a set
+    src = str(Path(scmdist.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run([sys.executable, "-c", SACHS_SAMPLE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == len(scmdist.sachs_expert_graph().nodes)
+    assert all(out == outputs[0] for out in outputs)
