@@ -14,8 +14,11 @@ a pairwise matrix holds SCMD for every pair of environments.
 
 One planner serves them all.  The weights of do(V_i = v) do not depend on
 the target j, so each (graph, dataset) side solves once per intervened
-variable i that reaches another variable: one Cholesky factor (N^3/3
-flops) and one solve with a right-hand side per intervention value of i.
+variable i that reaches another variable: one factor and one solve with a
+right-hand side per intervention value of i.  The factor is a pivoted
+Cholesky factor of rank r (about N r^2 flops, see :mod:`scmdist.cache`)
+when i has no parents, the ridge is positive and r <= N/4; otherwise it is
+a dense Cholesky factor of the Gram over (i, parents) (N^3/3 flops).
 For each target j the side's weight columns are stacked into an N x C
 matrix M, with the uniform marginal column wherever i does not reach j.
 Every pair term, for every combination of intervention values, is read off

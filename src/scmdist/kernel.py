@@ -143,8 +143,15 @@ def median_heuristic(col, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS) -> Kern
     if a.size > max_points:
         idx = np.linspace(0, a.size - 1, max_points).round().astype(int)
         a = a[idx]
-    diff_sq = np.subtract.outer(a, a) ** 2
-    pair_vals = diff_sq[np.triu_indices(a.size, k=1)]
+    # upper-triangle squared differences, row by row (the order of triu_indices)
+    n = a.size
+    pair_vals = np.empty(n * (n - 1) // 2)
+    start = 0
+    for s in range(n - 1):
+        stop = start + n - 1 - s
+        np.subtract(a[s + 1:], a[s], out=pair_vals[start:stop])
+        start = stop
+    np.square(pair_vals, out=pair_vals)
     med = float(np.median(pair_vals))
     if med <= 0.0:
         raise ValidationError(

@@ -183,6 +183,17 @@ def scmd_pair_terms_loop(g1, d1, v1, g2, d2, v2, cfg, cache=None) -> dict:
     return terms
 
 
+def median_heuristic_outer(col, max_points: int) -> float:
+    """Median of the squared pairwise differences, from the full outer
+    difference matrix and its strict upper triangle, over the same evenly
+    strided subsample of at most ``max_points`` points as the package."""
+    a = np.asarray(col, dtype=float).ravel()
+    if a.size > max_points:
+        a = a[np.linspace(0, a.size - 1, max_points).round().astype(int)]
+    diff_sq = np.subtract.outer(a, a) ** 2
+    return float(np.median(diff_sq[np.triu_indices(a.size, k=1)]))
+
+
 def mmd_vstat_naive(a: np.ndarray, b: np.ndarray, bandwidth_sq: float) -> float:
     """Full-matrix V-statistic for 1-D or multi-D samples."""
     a = np.atleast_2d(np.asarray(a, dtype=float).T).T

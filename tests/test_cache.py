@@ -1,0 +1,68 @@
+import numpy as np
+import pytest
+from scipy.linalg import cho_factor, cho_solve
+
+from scmdist import Dataset, EstimatorConfig, GramCache, KernelConfig, NumericalError, sample_m1
+from scmdist.cache import CholFactor
+from scmdist.embedding import weight_columns
+
+JITTER = 1e-10
+
+
+def kernel_columns(x, values, bandwidth_sq):
+    return np.column_stack([np.exp(-(x - v) ** 2 / (2 * bandwidth_sq)) for v in values])
+
+
+@pytest.fixture(scope="module")
+def big():
+    return sample_m1(3, 1500, 400)
+
+
+@pytest.mark.parametrize("bandwidth_sq", [0.1, 1.0])
+def test_low_rank_solve_matches_dense_cho_solve(big, bandwidth_sq):
+    cache = GramCache()
+    kcfg = KernelConfig(bandwidth_sq)
+    for var in ("X", "Y"):
+        x = big.column(var)
+        gram = cache.gram(big, big, (var,), kcfg)
+        rhs = kernel_columns(x, np.quantile(x, [0.1, 0.5, 0.9]), bandwidth_sq)
+        for ridge in (0.1, 0.5, 1.0):
+            factor = cache.factor(big, (var,), kcfg, ridge, JITTER)
+            assert isinstance(factor.rank, int) and factor.rank <= big.n // 4
+            assert factor.jitter_used == JITTER
+            dense = cho_solve(cho_factor(gram + (ridge + JITTER) * np.eye(big.n)), rhs)
+            assert np.max(np.abs(factor.solve(rhs) - dense)) <= 1e-10
+
+
+def test_dense_factor_for_joint_key_zero_ridge_and_high_rank(big):
+    cache = GramCache()
+    kcfg = KernelConfig(1.0)
+    assert cache.factor(big, ("X",), kcfg, 0.5, JITTER).rank is not None
+    assert cache.factor(big, ("Y", "X"), kcfg, 0.5, JITTER).rank is None
+    assert cache.factor(big, ("X",), kcfg, 0.0, JITTER).rank is None
+    # a narrow kernel leaves too many columns for a rank at most N/4
+    d = sample_m1(3, 400, 401)
+    narrow = KernelConfig(1e-4)
+    factor = cache.factor(d, ("X",), narrow, 0.5, JITTER)
+    assert factor.rank is None
+    gram = cache.gram(d, d, ("X",), narrow)
+    rhs = kernel_columns(d.column("X"), [0.0, 1.0], 1e-4)
+    dense = cho_solve(cho_factor(gram + (0.5 + JITTER) * np.eye(d.n)), rhs)
+    assert np.max(np.abs(factor.solve(rhs) - dense)) <= 1e-12
+
+
+def test_zero_ridge_keeps_jitter_escalation_and_its_error():
+    # a constant column has the all-ones Gram, singular without jitter
+    d = Dataset({"X": np.ones(30)}, id="constant")
+    factor = GramCache().factor(d, ("X",), KernelConfig(1.0), 0.0, 0.0)
+    assert factor.rank is None and factor.jitter_used == 1e-10
+    with pytest.raises(NumericalError, match="jitter escalated to 1e-06"):
+        CholFactor(-np.eye(4), 0.0, 0.0, "an indefinite matrix")
+
+
+def test_low_rank_weights_vanish_under_huge_ridge(big):
+    cfg = EstimatorConfig(kernel=KernelConfig(0.5), ridge_lambda=1e12)
+    cache = GramCache()
+    w = weight_columns(big, "X", (), [-1.0, 0.0, 1.0], cfg, cache)
+    assert cache.factor(big, ("X",), cfg.kernel, 1e12, cfg.jitter).rank is not None
+    assert np.all(np.abs(w) < 1e-9)

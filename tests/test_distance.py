@@ -351,9 +351,9 @@ def test_pairwise_matrix_factorizes_each_key_once(monkeypatch):
     labels = []
     real = cache_mod.CholFactor.__init__
 
-    def counting(self, matrix, ridge, jitter, label):
+    def counting(self, matrix, ridge, jitter, label, *args, **kwargs):
         labels.append(label)
-        real(self, matrix, ridge, jitter, label)
+        real(self, matrix, ridge, jitter, label, *args, **kwargs)
 
     monkeypatch.setattr(cache_mod.CholFactor, "__init__", counting)
     g = sachs_expert_graph()

@@ -9,6 +9,9 @@ from scmdist import (
     hadamard_gram,
     median_heuristic,
 )
+from scmdist.kernel import MEDIAN_HEURISTIC_MAX_POINTS
+
+from oracles import median_heuristic_outer
 
 
 def test_kernel_identity():
@@ -155,3 +158,15 @@ def test_median_heuristic_subsample_deterministic():
     rng = np.random.default_rng(7)
     col = rng.normal(size=5000)
     assert median_heuristic(col).bandwidth_sq == median_heuristic(col).bandwidth_sq
+
+
+def test_median_heuristic_bitwise_equals_outer_difference_formula():
+    rng = np.random.default_rng(8)
+    cols = [rng.normal(size=n) for n in (2, 3, 7, 100, 999, 1000, 1001, 5000)]
+    # ties: few distinct values, so many equal squared differences
+    cols += [rng.integers(0, 4, size=n).astype(float) for n in (5, 200, 2500)]
+    cols.append(np.round(rng.normal(size=1500), 1))
+    for col in cols:
+        for max_points in (MEDIAN_HEURISTIC_MAX_POINTS, 50):
+            got = median_heuristic(col, max_points).bandwidth_sq
+            assert got == median_heuristic_outer(col, max_points)
