@@ -1,19 +1,24 @@
-"""Memoized Gram matrices and Cholesky factors.
+"""Memoized Gram matrices, low-rank Gram factors and Cholesky factors.
 
 Gram construction is the dominant repeated cost when the same dataset and
 variables are queried at many intervention values or across many variable
 pairs.  A :class:`GramCache` keys Grams by (row dataset, column dataset,
-variable tuple, bandwidth) and Cholesky factors additionally by the total
-ridge.
+variable tuple, bandwidth), low-rank rows by (datasets, variable,
+bandwidth) and Cholesky factors by (dataset, variable tuple, bandwidth,
+total ridge, jitter).
 
-The Gaussian Gram of one variable is numerically low-rank, so with a
-positive ridge its factor is an adaptive pivoted Cholesky factor L (N x r,
-Harbrecht, Peters & Schneider 2012) with L L' equal to the Gram up to a
-largest residual diagonal of 1e-13, and solves go through the Woodbury
-identity (Fine & Scheinberg 2001): about N r^2 flops to factor and
-4 N r flops per right-hand side.  Joint Grams over several variables, a
-zero ridge (the Woodbury identity divides by it), and Grams whose rank
-would exceed N/4 keep the dense N^3/3 Cholesky factorization.
+The Gaussian Gram of one variable is numerically low-rank.  An adaptive
+pivoted Cholesky factorization (Harbrecht, Peters & Schneider 2012) gives
+L (N x r) with L L' equal to the Gram up to a largest residual diagonal of
+1e-13; it builds each pivot's Gram row from the samples, in about N r^2
+flops and 8 N r bytes, and never forms the N x N Gram.  With a positive
+ridge a single variable's factor is built this way and solved through the
+Woodbury identity (Fine & Scheinberg 2001): 4 N r flops per right-hand
+side.  :meth:`GramCache.rows` gives the same factor over the concatenated
+samples of several datasets, from which the distances take their
+quadratic and cross forms.  Joint Grams over several variables, a zero
+ridge (the Woodbury identity divides by it), and Grams whose rank would
+exceed N/4 keep the dense Gram and its N^3/3 Cholesky factorization.
 
 Lookups and construction are serialized by one lock per cache, so each key
 is built once and every hit refreshes its entry's recency.  Entries are
@@ -29,52 +34,61 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 from .dataset import Dataset
 from .errors import NumericalError, ValidationError
-from .kernel import KernelConfig, gram_entries
+from .kernel import KernelConfig, _gaussian_of_differences, gram_entries
 
 __all__ = ["GramCache", "CholFactor"]
 
 JITTER_FLOOR = 1e-10
 JITTER_CEILING = 1e-6
 # pivoted Cholesky stops at this largest residual diagonal (the Gaussian
-# kernel's diagonal is 1), and gives way to the dense factorization past
-# rank N // LOW_RANK_MAX_DIVISOR
+# kernel's diagonal is 1), and gives way to the dense path past rank
+# N // LOW_RANK_MAX_DIVISOR
 LOW_RANK_TOL = 1e-13
 LOW_RANK_MAX_DIVISOR = 4
 
 
-def _pivoted_cholesky(matrix: np.ndarray, max_rank: int) -> np.ndarray | None:
-    """Rows of L' (r x N) with L L' = ``matrix`` to LOW_RANK_TOL, or None past ``max_rank``.
+def _pivoted_rows(x: np.ndarray, bandwidth_sq: float, max_rank: int) -> np.ndarray | None:
+    """Rows of L' (r x N) with L L' equal to the Gaussian Gram of the samples
+    ``x`` up to a largest residual diagonal of LOW_RANK_TOL, or None past
+    ``max_rank``.
 
-    ``matrix`` is symmetric positive semi-definite, so its row p is its column p.
+    Each pivot's Gram row is computed from the samples when it is chosen, so
+    no N x N Gram is formed.  The row buffer doubles as it fills.
     """
-    resid = np.diagonal(matrix).copy()
-    rows = np.empty((max_rank, matrix.shape[0]))
-    for k in range(max_rank + 1):
+    n = x.size
+    resid = np.ones(n)  # the Gaussian kernel's diagonal
+    rows = np.empty((min(max_rank, 16), n))
+    for k in range(max_rank):
         p = int(np.argmax(resid))
         if resid[p] <= LOW_RANK_TOL:
             return rows[:k].copy()
-        if k < max_rank:
-            col = matrix[p] - rows[:k, p] @ rows[:k]
-            col /= math.sqrt(resid[p])
-            rows[k] = col
-            resid -= col * col
-    return None
+        if k == rows.shape[0]:
+            grown = np.empty((min(max_rank, 2 * k), n))
+            grown[:k] = rows
+            rows = grown
+        col = _gaussian_of_differences(x[p] - x, bandwidth_sq)
+        col -= rows[:k, p] @ rows[:k]
+        col /= math.sqrt(resid[p])
+        rows[k] = col
+        resid -= col * col
+    return rows if resid.max() <= LOW_RANK_TOL else None
 
 
 class CholFactor:
     """Factor of (Gram + ridge*I), exposing repeated solves.
 
-    With ``low_rank`` (which needs ridge + jitter > 0) the factor is a
-    pivoted Cholesky factor solved through the Woodbury identity, and
-    ``rank`` is its rank; when the rank would exceed N/4 it is the dense
-    Cholesky factor, as without ``low_rank``, and ``rank`` is None.  Only the
-    dense factorization escalates the jitter.
+    With ``low_rank`` (which needs ridge + jitter > 0), ``matrix`` is the
+    r x N rows L' of a low-rank factor L L' of the Gram, solves go through
+    the Woodbury identity, and ``rank`` is r.  Otherwise ``matrix`` is the
+    Gram itself, factored by a dense Cholesky factorization whose jitter
+    escalates on failure, and ``rank`` is None.
     """
 
     def __init__(self, matrix: np.ndarray, ridge: float, jitter: float, label: str,
@@ -84,17 +98,17 @@ class CholFactor:
         self.rank = None
         jit = float(jitter)
         if low_rank:
-            rows = _pivoted_cholesky(matrix, matrix.shape[0] // LOW_RANK_MAX_DIVISOR)
-            if rows is not None:
-                # lam I + L'L is positive definite for any lam > 0
-                lam = ridge + jit
-                core = rows @ rows.T
-                core[np.diag_indices_from(core)] += lam
-                core = cho_factor(core, lower=True, overwrite_a=True, check_finite=False)
-                self._factor = (rows, core, lam)
-                self.rank = rows.shape[0]
-                self.jitter_used = jit
-                return
+            # lam I + L'L is positive definite for any lam > 0
+            lam = ridge + jit
+            core = matrix @ matrix.T
+            core[np.diag_indices_from(core)] += lam
+            self._factor = (matrix, core, lam)
+            self.rank = matrix.shape[0]
+            self.jitter_used = jit
+            return
+        # scipy is loaded only by the dense path, which not every run takes
+        from scipy.linalg import cho_factor
+
         while True:
             # a Fortran-ordered copy, which LAPACK factors in place
             m = np.array(matrix, order="F")
@@ -114,14 +128,16 @@ class CholFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.rank is None:
+            from scipy.linalg import cho_solve
+
             return cho_solve(self._factor, rhs, check_finite=False)
         # (L L' + lam I)^-1 R = (R - L (lam I + L'L)^-1 L'R) / lam
         rows, core, lam = self._factor
-        return (rhs - rows.T @ cho_solve(core, rows @ rhs, check_finite=False)) / lam
+        return (rhs - rows.T @ np.linalg.solve(core, rows @ rhs)) / lam
 
 
 class GramCache:
-    """LRU cache of Gram matrices and factors over registered datasets."""
+    """LRU cache of Gram matrices, low-rank rows and factors over registered datasets."""
 
     def __init__(self, capacity: int = 12):
         if capacity < 1:
@@ -131,22 +147,24 @@ class GramCache:
         self._entries: OrderedDict = OrderedDict()
         self._datasets: dict[str, Dataset] = {}
 
-    def _register(self, ds: Dataset):
-        known = self._datasets.get(ds.id)
-        if known is None:
-            self._datasets[ds.id] = ds
-        elif known is not ds:
-            raise ValidationError(
-                f"dataset id {ds.id!r} reused for a different dataset; "
-                "give distinct datasets distinct ids"
-            )
+    def _register(self, *datasets: Dataset):
+        with self._lock:
+            for ds in datasets:
+                known = self._datasets.get(ds.id)
+                if known is None:
+                    self._datasets[ds.id] = ds
+                elif known is not ds:
+                    raise ValidationError(
+                        f"dataset id {ds.id!r} reused for a different dataset; "
+                        "give distinct datasets distinct ids"
+                    )
 
     def _get_or_build(self, key, build):
+        # an entry may be None (rows past the rank cap), so test membership
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            if key in self._entries:
                 self._entries.move_to_end(key)
-                return entry
+                return self._entries[key]
             entry = build()
             self._entries[key] = entry
             while len(self._entries) > self._capacity:
@@ -158,9 +176,7 @@ class GramCache:
         """Hadamard-product Gram over ``variables`` between two datasets."""
         if not variables:
             raise ValidationError("need at least one variable for a Gram matrix")
-        with self._lock:
-            self._register(row)
-            self._register(col)
+        self._register(row, col)
         key = ("gram", row.id, col.id, tuple(variables), kcfg.bandwidth_sq)
         if len(variables) > 1:
             # joint product kernel assembled from cached per-variable Grams;
@@ -181,15 +197,42 @@ class GramCache:
 
         return self._get_or_build(key, build)
 
+    def rows(self, datasets: Sequence[Dataset], variable: str,
+             kcfg: KernelConfig) -> np.ndarray | None:
+        """Rows L' (r x total N) of a low-rank factor of the Gram of
+        ``variable`` over the samples of ``datasets``, concatenated in the
+        given order; None when r would exceed total N / 4."""
+        self._register(*datasets)
+        key = ("rows", tuple(d.id for d in datasets), variable, kcfg.bandwidth_sq)
+
+        def build():
+            x = np.concatenate([d.column(variable) for d in datasets])
+            out = _pivoted_rows(x, kcfg.bandwidth_sq, x.size // LOW_RANK_MAX_DIVISOR)
+            if out is not None:
+                out.setflags(write=False)
+            return out
+
+        return self._get_or_build(key, build)
+
     def factor(self, data: Dataset, variables: tuple[str, ...], kcfg: KernelConfig,
                ridge: float, jitter: float) -> CholFactor:
         """Factor of the joint Gram over ``variables`` plus ridge.
 
-        One variable with a positive ridge tries the low-rank factor first.
+        One variable with a positive ridge tries the low-rank factor first,
+        built from the samples; only past its rank cap is the Gram formed.
         """
         key = ("chol", data.id, tuple(variables), kcfg.bandwidth_sq, ridge, jitter)
-        base = self.gram(data, data, variables, kcfg)
         label = f"variables {list(variables)!r} of dataset {data.id!r}"
-        low_rank = len(variables) == 1 and ridge > 0
-        return self._get_or_build(
-            key, lambda: CholFactor(base, ridge, jitter, label, low_rank=low_rank))
+        if len(variables) > 1 or ridge <= 0:
+            base = self.gram(data, data, variables, kcfg)
+            return self._get_or_build(key, lambda: CholFactor(base, ridge, jitter, label))
+        self._register(data)
+        x = data.column(variables[0])
+
+        def build():
+            rows = _pivoted_rows(x, kcfg.bandwidth_sq, data.n // LOW_RANK_MAX_DIVISOR)
+            if rows is None:
+                return CholFactor(gram_entries(x, x, kcfg), ridge, jitter, label)
+            return CholFactor(rows, ridge, jitter, label, low_rank=True)
+
+        return self._get_or_build(key, build)

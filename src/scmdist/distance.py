@@ -22,10 +22,19 @@ a dense Cholesky factor of the Gram over (i, parents) (N^3/3 flops).
 For each target j the side's weight columns are stacked into an N x C
 matrix M, with the uniform marginal column wherever i does not reach j.
 Every pair term, for every combination of intervention values, is read off
-diag(M1' K1 M1) - 2 M1' K12 M2 + diag(M2' K2 M2).  Per target that is one
-GEMM of the N x N Gram with M per side (its self-forms) and one per couple
-of sides (the cross-form), about 2 N^2 C flops each.  A pairwise matrix
-computes each environment's weights and self-forms once for all its pairs.
+diag(M1' K1 M1) - 2 M1' K12 M2 + diag(M2' K2 M2).
+
+The Grams of V_j within and across the datasets are blocks of one Gram over
+their concatenated samples, so one pivoted Cholesky factor L' (r x total N)
+of that Gram serves every side: with P = L_s' M projected once per side
+(about 2 N r C flops), the self-forms are diag(P' P) and each couple's
+cross-form is P1' P2, and no N x N Gram is formed.  The residual
+K - L L' is positive semi-definite with diagonal at most 1e-13, so each
+squared distance comes out low by at most 1e-13 (|w1|_1 + |w2|_1)^2.
+Past rank total N / 4 the forms use the dense Grams instead, one GEMM of
+the N x N Gram with M per side and couple (about 2 N^2 C flops).  A
+pairwise matrix computes each environment's weights, projections and
+self-forms once for all its pairs.
 """
 
 from __future__ import annotations
@@ -142,10 +151,11 @@ def _canonical_order(g1, d1, v1, g2, d2, v2):
     return g1, d1, v1, g2, d2, v2
 
 
-def _forms(k: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """M1' K M2 by two GEMMs.  Self and cross forms both go through here, so
-    identical data on both sides gives a distance of exactly zero."""
-    return m1.T @ (k @ m2)
+def _forms(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """P1' P2 by one GEMM.  Self and cross forms both go through here, so
+    identical data on both sides gives a distance of exactly zero.  numpy
+    hands P' P to SYRK, which rounds differently, so a self form takes a copy."""
+    return p1.T @ (p2.copy() if p2 is p1 else p2)
 
 
 class _Side:
@@ -155,7 +165,7 @@ class _Side:
     of ``terms``, ``stacks[j]`` is the N x C matrix of weight columns of its
     intervened variables, one per value (a single uniform marginal column
     serves every i that does not reach j), with each variable's column
-    indices; ``norms[j]`` is diag(M' K_j M), the self-forms.
+    indices.
     """
 
     def __init__(self, g: Dag, data: Dataset, values: Mapping[str, Sequence[float]],
@@ -170,7 +180,7 @@ class _Side:
         sources: dict[str, list[str]] = {}
         for i, j in terms:
             sources.setdefault(j, []).append(i)
-        self.stacks, self.norms = {}, {}
+        self.stacks = {}
         for j, sources_j in sources.items():
             blocks, cols, at, marginal_at = [], {}, 0, None
             for i in sources_j:
@@ -184,9 +194,7 @@ class _Side:
                         blocks.append(marginal)
                         at += 1
                     cols[i] = np.full(width, marginal_at)
-            m = np.hstack(blocks)
-            self.stacks[j] = (m, cols)
-            self.norms[j] = np.diagonal(_forms(cache.gram(data, data, (j,), cfg.kernel), m, m))
+            self.stacks[j] = (np.hstack(blocks), cols)
 
 
 def _map(fn, items, threads: int) -> list:
@@ -205,14 +213,39 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
     squared distance between do(V_i = a-th value) on the first side and
     do(V_i = b-th value) on the second, measured on V_j.
     """
+    used = sorted(range(len(sides)), key=lambda s: sides[s].data.id)
+
     def per_target(j):
+        # one block of L' per distinct sample column of V_j, so that sides
+        # with equal samples get equal projections
+        owners, block = [], {}
+        for s in used:
+            x = sides[s].data.column(j)
+            block[s] = next((b for b, o in enumerate(owners) if np.array_equal(o.column(j), x)),
+                            len(owners))
+            if block[s] == len(owners):
+                owners.append(sides[s].data)
+        rows = cache.rows(owners, j, cfg.kernel)
+        stacks = {s: sides[s].stacks[j][0] for s in used}
+        if rows is not None:
+            # K_ab ~ L_a L_b', so M_a' K_ab M_b ~ P_a' P_b with P_s = L_s' M_s
+            at = np.cumsum([0] + [d.n for d in owners])
+            proj = {s: rows[:, at[block[s]]:at[block[s] + 1]] @ stacks[s] for s in used}
+
+            def form(a, b):
+                return _forms(proj[a], proj[b])
+        else:
+            def form(a, b):
+                k = cache.gram(sides[a].data, sides[b].data, (j,), cfg.kernel)
+                return _forms(stacks[a], k @ stacks[b])
+
+        norms = {s: np.diagonal(form(s, s)) for s in used}
         out = []
         for a, b in couples:
-            (m1, c1), (m2, c2) = sides[a].stacks[j], sides[b].stacks[j]
-            n1, n2 = sides[a].norms[j], sides[b].norms[j]
-            cross = _forms(cache.gram(sides[a].data, sides[b].data, (j,), cfg.kernel), m1, m2)
-            out.append({(i, j): n1[c1[i]][:, None] - 2.0 * cross[np.ix_(c1[i], c2[i])]
-                        + n2[c2[i]][None, :] for i in c1})
+            c1, c2 = sides[a].stacks[j][1], sides[b].stacks[j][1]
+            cross = form(a, b)
+            out.append({(i, j): norms[a][c1[i]][:, None] - 2.0 * cross[np.ix_(c1[i], c2[i])]
+                        + norms[b][c2[i]][None, :] for i in c1})
         return out
 
     tables = [{} for _ in couples]

@@ -92,10 +92,16 @@ def gram_entries(col_a, col_b, cfg: KernelConfig) -> np.ndarray:
     """
     a = _as_clean_column(col_a, "first column")
     b = _as_clean_column(col_b, "second column")
-    sq = np.subtract.outer(a, b)
-    np.square(sq, out=sq)
-    sq *= -1.0 / (2.0 * cfg.bandwidth_sq)
-    return np.exp(sq, out=sq)
+    return _gaussian_of_differences(np.subtract.outer(a, b), cfg.bandwidth_sq)
+
+
+def _gaussian_of_differences(diff: np.ndarray, bandwidth_sq: float) -> np.ndarray:
+    """exp(-diff^2 / (2 sigma_sq)), in place.  Full Grams and single Gram
+    rows both go through this one sequence of operations, so a row built on
+    its own equals the same row of the full Gram bit for bit."""
+    np.square(diff, out=diff)
+    diff *= -1.0 / (2.0 * bandwidth_sq)
+    return np.exp(diff, out=diff)
 
 
 def gram(col_a, col_b, cfg: KernelConfig, row_source: str = "", col_source: str = "") -> GramMatrix:

@@ -200,7 +200,10 @@ def test_out_flag_writes_file(tmp_path, fwd_graph):
 
 def test_cli_import_leaves_scipy_signal_unloaded():
     src = str(Path(scmdist.__file__).resolve().parents[1])
-    code = "import sys, scmdist.cli; print('scipy.signal' in sys.modules)"
+    code = ("import sys, scmdist.cli; "
+            "print('scipy.signal' in sys.modules, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    # scipy loads only with the dense Cholesky path or the binned MMD helpers
+    assert proc.stdout.strip() == "False []"

@@ -368,3 +368,83 @@ def test_pairwise_matrix_factorizes_each_key_once(monkeypatch):
             for e in envs for i in g.nodes if g.descendants(i)}
     assert len(labels) == len(keys)
     assert len(set(labels)) == len(labels)
+
+
+def _union_rows(cache, datasets, j, kcfg):
+    # the cached low-rank rows of V_j over the datasets, in canonical id order
+    return cache.rows(sorted(datasets, key=lambda d: d.id), j, kcfg)
+
+
+@pytest.mark.parametrize("bandwidth_sq", [0.1, 1.0])
+@pytest.mark.parametrize("ridge", [0.1, 1.0])
+def test_low_rank_forms_match_dense_oracle(bandwidth_sq, ridge):
+    d1 = sample_m1(3, 1500, 80)
+    d3 = sample_m2(3, 1500, 81)
+    cfg = EstimatorConfig(kernel=KernelConfig(bandwidth_sq), ridge_lambda=ridge)
+    cache = GramCache(capacity=32)
+    got = scmd(FWD, d1, REV, d3, UNIT, UNIT, cfg, cache)
+    for j in ("X", "Y"):
+        assert _union_rows(cache, [d1, d3], j, cfg.kernel) is not None
+    terms = scmd_pair_terms_loop(FWD, d1, UNIT, REV, d3, UNIT, cfg, cache)
+    for p, term in terms.items():
+        assert abs(got.pair_terms[p] - term) <= 1e-10
+    levels = [0.25, 0.75]
+    grid = e_scmd(FWD, d1, REV, d3, levels, cfg, cache=cache)
+    runs = [scmd_pair_terms_loop(FWD, d1, _quantiles(d1, q1), REV, d3, _quantiles(d3, q2),
+                                 cfg, cache) for q1 in levels for q2 in levels]
+    for p, term in grid.pair_terms.items():
+        assert abs(term - math.fsum(t[p] for t in runs) / len(runs)) <= 1e-10
+
+
+def test_forms_fall_back_to_dense_grams_past_the_rank_cap():
+    d1 = sample_m1(3, 1500, 82)
+    d3 = sample_m2(3, 1500, 83)
+    cfg = EstimatorConfig(kernel=KernelConfig(1e-4), ridge_lambda=0.5)
+    cache = GramCache(capacity=32)
+    got = scmd(FWD, d1, REV, d3, UNIT, UNIT, cfg, cache)
+    for j in ("X", "Y"):
+        assert _union_rows(cache, [d1, d3], j, cfg.kernel) is None
+    for p, term in scmd_pair_terms_loop(FWD, d1, UNIT, REV, d3, UNIT, cfg, cache).items():
+        assert abs(got.pair_terms[p] - term) <= 1e-10
+
+
+def test_identical_data_is_exactly_zero_through_low_rank_forms():
+    # Y's rank above 256 is where BLAS blocks P'P (SYRK) unlike P1'P2 (GEMM)
+    base = sample_m1(3, 1500, 84)
+    twin = Dataset({v: base.column(v) for v in base.variable_names}, id="twin")
+    cfg = EstimatorConfig(kernel=KernelConfig(0.02), ridge_lambda=0.5)
+    cache = GramCache()
+    assert scmd(FWD, base, FWD, twin, UNIT, UNIT, cfg, cache).value == 0.0
+    assert scmd(FWD, base, FWD, base, UNIT, UNIT, cfg, cache).value == 0.0
+    # equal samples share one block of the factor
+    assert _union_rows(cache, [base], "Y", cfg.kernel).shape[0] > 256
+    m = pairwise_matrix([base, twin], FWD, "scmd", cfg)
+    assert m.values[0, 1] == 0.0
+
+
+def test_single_variable_kernels_build_no_n_by_n_gram(monkeypatch):
+    import tracemalloc
+
+    import scmdist.cache as cache_mod
+
+    calls = []
+    real = cache_mod.gram_entries
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "gram_entries", counting)
+    n = 6000
+    d1, d2, d3 = sample_m1(3, n, 85), sample_m1(5, n, 86), sample_m2(3, n, 87)
+    cfg = EstimatorConfig(kernel=KernelConfig(0.1), ridge_lambda=0.5)
+    tracemalloc.start()
+    try:
+        cache = GramCache()
+        scmd(FWD, d1, FWD, d2, UNIT, UNIT, cfg, cache)
+        e_scmd(FWD, d1, REV, d3, cfg=cfg, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 8 * n * n
