@@ -38,7 +38,7 @@ from .io import (
     save_graph,
     write_report,
 )
-from .kernel import KernelConfig, GramMatrix, gaussian_kernel, gram, hadamard_gram, median_heuristic
+from .kernel import KernelConfig, gaussian_kernel, median_heuristic
 from .oracle import (
     Gaussian1D,
     embedding_distance_to_gaussian,
@@ -60,7 +60,6 @@ __all__ = [
     "EstimatorConfig",
     "Gaussian1D",
     "GramCache",
-    "GramMatrix",
     "InterventionSpec",
     "KernelConfig",
     "LinearGaussianScm",
@@ -76,8 +75,6 @@ __all__ = [
     "embedding_distance_to_gaussian",
     "gaussian_embedding_inner",
     "gaussian_kernel",
-    "gram",
-    "hadamard_gram",
     "interventional_weights",
     "load_dataset",
     "load_graph",

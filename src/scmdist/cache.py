@@ -11,14 +11,15 @@ The Gaussian Gram of one variable is numerically low-rank.  An adaptive
 pivoted Cholesky factorization (Harbrecht, Peters & Schneider 2012) gives
 L (N x r) with L L' equal to the Gram up to a largest residual diagonal of
 1e-13; it builds each pivot's Gram row from the samples, in about N r^2
-flops and 8 N r bytes, and never forms the N x N Gram.  With a positive
-ridge a single variable's factor is built this way and solved through the
+flops and 8 N r bytes, and never forms the N x N Gram.
+:meth:`GramCache.rows` caches these rows over the concatenated samples of
+one or more datasets: the distances take their quadratic and cross forms
+from them, and with a positive ridge a single variable's factor takes the
+rows of its one dataset, shared by every ridge, and is solved through the
 Woodbury identity (Fine & Scheinberg 2001): 4 N r flops per right-hand
-side.  :meth:`GramCache.rows` gives the same factor over the concatenated
-samples of several datasets, from which the distances take their
-quadratic and cross forms.  Joint Grams over several variables, a zero
-ridge (the Woodbury identity divides by it), and Grams whose rank would
-exceed N/4 keep the dense Gram and its N^3/3 Cholesky factorization.
+side.  Joint Grams over several variables, a zero ridge (the Woodbury
+identity divides by it), and Grams whose rank would exceed N/4 keep the
+dense (cached) Gram and its N^3/3 Cholesky factorization.
 
 Lookups and construction are serialized by one lock per cache, so each key
 is built once and every hit refreshes its entry's recency.  Entries are
@@ -218,21 +219,16 @@ class GramCache:
                ridge: float, jitter: float) -> CholFactor:
         """Factor of the joint Gram over ``variables`` plus ridge.
 
-        One variable with a positive ridge tries the low-rank factor first,
-        built from the samples; only past its rank cap is the Gram formed.
+        One variable with a positive ridge takes the cached low-rank rows of
+        :meth:`rows`, which every ridge shares; only past their rank cap is
+        the (cached) Gram factored.
         """
         key = ("chol", data.id, tuple(variables), kcfg.bandwidth_sq, ridge, jitter)
         label = f"variables {list(variables)!r} of dataset {data.id!r}"
-        if len(variables) > 1 or ridge <= 0:
-            base = self.gram(data, data, variables, kcfg)
-            return self._get_or_build(key, lambda: CholFactor(base, ridge, jitter, label))
-        self._register(data)
-        x = data.column(variables[0])
-
-        def build():
-            rows = _pivoted_rows(x, kcfg.bandwidth_sq, data.n // LOW_RANK_MAX_DIVISOR)
-            if rows is None:
-                return CholFactor(gram_entries(x, x, kcfg), ridge, jitter, label)
-            return CholFactor(rows, ridge, jitter, label, low_rank=True)
-
-        return self._get_or_build(key, build)
+        # look up rows and Grams first: the cache lock is not reentrant
+        rows = None
+        if len(variables) == 1 and ridge > 0:
+            rows = self.rows([data], variables[0], kcfg)
+        low_rank = rows is not None
+        matrix = rows if low_rank else self.gram(data, data, variables, kcfg)
+        return self._get_or_build(key, lambda: CholFactor(matrix, ridge, jitter, label, low_rank))

@@ -1,4 +1,4 @@
-"""Gaussian kernel evaluation and Gram-matrix construction.
+"""Gaussian kernel evaluation, Gram arrays and the median heuristic.
 
 The kernel family is fixed to the Gaussian kernel
 
@@ -6,13 +6,13 @@ The kernel family is fixed to the Gaussian kernel
 
 parameterized by its variance ``sigma_sq`` (squared data units).  Joint
 kernels over several variables are Hadamard (entrywise) products of the
-per-variable Gram matrices, which realizes the product kernel.
+per-variable Grams (see :meth:`scmdist.cache.GramCache.gram`), which
+realizes the product kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,10 +20,7 @@ from .errors import ValidationError
 
 __all__ = [
     "KernelConfig",
-    "GramMatrix",
     "gaussian_kernel",
-    "gram",
-    "hadamard_gram",
     "median_heuristic",
 ]
 
@@ -41,31 +38,6 @@ class KernelConfig:
         b = self.bandwidth_sq
         if not np.isfinite(b) or b <= 0:
             raise ValidationError(f"bandwidth_sq must be positive and finite, got {b!r}")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Kernel evaluations between two sample columns.
-
-    ``entries[s, t] = k(row_points[s], col_points[t])``.  ``row_source`` and
-    ``col_source`` are free-form identifiers (dataset/variable labels) used
-    for bookkeeping only.
-    """
-
-    entries: np.ndarray
-    row_source: str = ""
-    col_source: str = ""
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2:
-            raise ValidationError(f"Gram entries must be a 2-D array, got ndim={e.ndim}")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
 
 
 def _as_clean_column(values, what: str) -> np.ndarray:
@@ -104,11 +76,6 @@ def _gaussian_of_differences(diff: np.ndarray, bandwidth_sq: float) -> np.ndarra
     return np.exp(diff, out=diff)
 
 
-def gram(col_a, col_b, cfg: KernelConfig, row_source: str = "", col_source: str = "") -> GramMatrix:
-    """Gram matrix of all pairwise kernel values between two sample columns."""
-    return GramMatrix(gram_entries(col_a, col_b, cfg), row_source, col_source)
-
-
 def kernel_vector(col, value: float, cfg: KernelConfig) -> np.ndarray:
     """Vector of kernel evaluations k(col[n], value) for a single query point."""
     a = _as_clean_column(col, "column")
@@ -116,24 +83,6 @@ def kernel_vector(col, value: float, cfg: KernelConfig) -> np.ndarray:
         raise ValidationError(f"query value must be finite, got {value!r}")
     d = a - float(value)
     return np.exp(-(d * d) / (2.0 * cfg.bandwidth_sq))
-
-
-def hadamard_gram(grams: Sequence[GramMatrix]) -> GramMatrix:
-    """Entrywise product of equally shaped Gram matrices (product kernel)."""
-    if len(grams) == 0:
-        raise ValidationError("hadamard_gram requires at least one Gram matrix")
-    first = grams[0]
-    if len(grams) == 1:
-        return first
-    shape = first.shape
-    out = first.entries.copy()
-    for g in grams[1:]:
-        if g.shape != shape:
-            raise ValidationError(f"Gram shape mismatch: {g.shape} vs {shape}")
-        out *= g.entries
-    row = "*".join(g.row_source for g in grams)
-    col = "*".join(g.col_source for g in grams)
-    return GramMatrix(out, row, col)
 
 
 def median_heuristic(col, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS) -> KernelConfig:

@@ -66,3 +66,43 @@ def test_low_rank_weights_vanish_under_huge_ridge(big):
     w = weight_columns(big, "X", (), [-1.0, 0.0, 1.0], cfg, cache)
     assert cache.factor(big, ("X",), cfg.kernel, 1e12, cfg.jitter).rank is not None
     assert np.all(np.abs(w) < 1e-9)
+
+
+def test_single_variable_factors_share_the_cached_rows_across_ridges(big, monkeypatch):
+    import scmdist.cache as cache_mod
+
+    pivots = []
+    real = cache_mod._pivoted_rows
+
+    def counting(*args, **kwargs):
+        pivots.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "_pivoted_rows", counting)
+    cache = GramCache()
+    kcfg = KernelConfig(1.0)
+    rows = cache.rows([big], "X", kcfg)
+    ranks = {cache.factor(big, ("X",), kcfg, ridge, JITTER).rank for ridge in (0.1, 0.5, 1.0)}
+    assert ranks == {rows.shape[0]}
+    assert len(pivots) == 1
+
+
+def test_rank_capped_factor_factors_the_cached_gram(monkeypatch):
+    import scmdist.cache as cache_mod
+
+    builds = []
+    real = cache_mod.gram_entries
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "gram_entries", counting)
+    d = sample_m1(3, 400, 402)
+    cache = GramCache()
+    narrow = KernelConfig(1e-4)
+    assert cache.rows([d], "X", narrow) is None
+    for ridge in (0.1, 0.5):
+        assert cache.factor(d, ("X",), narrow, ridge, JITTER).rank is None
+    cache.gram(d, d, ("X",), narrow)
+    assert len(builds) == 1

@@ -24,6 +24,7 @@ from scmdist import (
     sample_scm,
     scmd,
 )
+from scmdist.distance import EXP_FLOOR
 
 from oracles import mimd_sq_double_sum, mmd_vstat_naive, random_dag, scmd_pair_terms_loop
 
@@ -174,16 +175,46 @@ def test_mmd_vstat_identical_zero():
     assert mmd_vstat(d, d, KernelConfig(0.1)) <= 1e-7
 
 
+def _joint_samples(d):
+    return np.column_stack([d.column(v) for v in sorted(d.variable_names)])
+
+
+def _cross_exponents(d1, d2, bandwidth_sq):
+    a, b = _joint_samples(d1), _joint_samples(d2)
+    return -((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2) / (2.0 * bandwidth_sq)
+
+
 def test_mmd_vstat_blocked_matches_naive():
+    g = sachs_expert_graph()
+    rng = np.random.default_rng(27)
+    sachs = []
+    for k in range(2):
+        coeffs = {e: float(rng.uniform(0.5, 1.0)) for e in sorted(g.edges)}
+        model = LinearGaussianScm(g, coeffs, {v: 1.0 for v in g.nodes})
+        sachs.append(sample_scm(model, 300 + 50 * k, 27 + k, id=f"sachs-{k}"))
     d1 = sample_m1(3, 300, 27)
     d2 = sample_m2(3, 350, 28)  # unequal sizes exercise the cross terms
-    a = np.column_stack([d1.column(v) for v in sorted(d1.variable_names)])
-    b = np.column_stack([d2.column(v) for v in sorted(d2.variable_names)])
-    expect = mmd_vstat_naive(a, b, 0.1)
-    # blocks that divide neither size, single rows, and one block per sample
-    for block in (64, 1, 512):
-        got = mmd_vstat(d1, d2, KernelConfig(0.1), block=block)
-        assert got == pytest.approx(expect, abs=1e-12)
+    far = Dataset({v: d2.column(v) + 100.0 for v in d2.variable_names}, id="far")
+    # every cross exponent of the far pair lies below the floor, and at
+    # sigma_sq = 0.05 some of d1, d2's lie where exp turns subnormal
+    assert _cross_exponents(d1, far, 0.1).max() < EXP_FLOOR
+    window = _cross_exponents(d1, d2, 0.05)
+    assert np.count_nonzero((window > -745.0) & (window < -707.0)) > 100
+    cases = [(d1, d2, 0.1), (*sachs, 1.0), (d1, far, 0.1), (d1, d2, 0.05)]
+    for e1, e2, bandwidth_sq in cases:
+        expect = mmd_vstat_naive(_joint_samples(e1), _joint_samples(e2), bandwidth_sq)
+        # blocks that divide neither size, single rows, and one block per sample
+        for block in (64, 1, 512):
+            got = mmd_vstat(e1, e2, KernelConfig(bandwidth_sq), block=block)
+            assert got == pytest.approx(expect, abs=1e-12)
+
+
+def test_mmd_vstat_is_exactly_symmetric():
+    cfg = KernelConfig(0.1)
+    for k in range(20):
+        d1 = sample_m1(3, 700 + k, 200 + k)
+        d2 = sample_m2(3, 720 - k, 300 + k)
+        assert mmd_vstat(d1, d2, cfg) == mmd_vstat(d2, d1, cfg)
 
 
 def test_mmd_vstat_variable_name_mismatch():

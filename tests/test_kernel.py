@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from scmdist import (
+    Dataset,
+    GramCache,
     KernelConfig,
     ValidationError,
     gaussian_kernel,
-    gram,
-    hadamard_gram,
     median_heuristic,
 )
-from scmdist.kernel import MEDIAN_HEURISTIC_MAX_POINTS
+from scmdist.kernel import MEDIAN_HEURISTIC_MAX_POINTS, gram_entries
 
 from oracles import median_heuristic_outer
 
@@ -55,76 +55,59 @@ def test_bandwidth_must_be_positive():
 
 def test_gram_same_column_unit_diagonal_symmetric():
     col = [0.0, 1.0, 2.5]
-    g = gram(col, col, KernelConfig(0.5))
-    assert np.allclose(np.diag(g.entries), 1.0)
-    assert np.array_equal(g.entries, g.entries.T)
+    g = gram_entries(col, col, KernelConfig(0.5))
+    assert np.allclose(np.diag(g), 1.0)
+    assert np.array_equal(g, g.T)
 
 
 def test_gram_constant_column_all_ones():
     col = [2.0] * 5
-    g = gram(col, col, KernelConfig(0.5))
-    assert np.array_equal(g.entries, np.ones((5, 5)))
+    g = gram_entries(col, col, KernelConfig(0.5))
+    assert np.array_equal(g, np.ones((5, 5)))
 
 
 def test_gram_entries_match_scalar_kernel():
     rng = np.random.default_rng(2)
     a, b = rng.normal(size=6), rng.normal(size=4)
     cfg = KernelConfig(0.9)
-    g = gram(a, b, cfg)
+    g = gram_entries(a, b, cfg)
     for s in range(6):
         for t in range(4):
-            assert g.entries[s, t] == pytest.approx(gaussian_kernel(a[s], b[t], cfg), abs=1e-15)
+            assert g[s, t] == pytest.approx(gaussian_kernel(a[s], b[t], cfg), abs=1e-15)
 
 
 def test_gram_psd_random_column():
     rng = np.random.default_rng(3)
     col = rng.normal(size=50)
-    g = gram(col, col, KernelConfig(0.2))
-    eigs = np.linalg.eigvalsh(g.entries)
+    g = gram_entries(col, col, KernelConfig(0.2))
+    eigs = np.linalg.eigvalsh(g)
     assert eigs.min() >= -1e-8 * 50
 
 
 def test_gram_rejects_empty_and_non_finite():
     cfg = KernelConfig(1.0)
     with pytest.raises(ValidationError):
-        gram([], [1.0], cfg)
+        gram_entries([], [1.0], cfg)
     with pytest.raises(ValidationError):
-        gram([1.0, np.nan], [1.0], cfg)
+        gram_entries([1.0, np.nan], [1.0], cfg)
 
 
-def test_hadamard_single_input_is_identity():
-    g = gram([0.0, 1.0], [0.0, 1.0], KernelConfig(1.0))
-    assert hadamard_gram([g]) is g
-
+# joint Grams are the cache's Hadamard products of per-variable Grams
 
 def test_hadamard_with_all_ones_unchanged():
     rng = np.random.default_rng(4)
-    col = rng.normal(size=8)
-    g = gram(col, col, KernelConfig(0.4))
-    ones = gram([1.0] * 8, [1.0] * 8, KernelConfig(0.4))
-    assert np.array_equal(hadamard_gram([g, ones]).entries, g.entries)
+    d = Dataset({"X": rng.normal(size=8), "C": np.ones(8)}, id="ones")
+    cache = GramCache()
+    cfg = KernelConfig(0.4)
+    assert np.array_equal(cache.gram(d, d, ("X", "C"), cfg), cache.gram(d, d, ("X",), cfg))
 
 
 def test_hadamard_of_psd_is_psd():
     rng = np.random.default_rng(5)
-    cfg = KernelConfig(0.3)
-    a = gram(rng.normal(size=30), rng.normal(size=30), cfg)
-    # same column on both sides so each factor is PSD
-    ca = rng.normal(size=30)
-    cb = rng.normal(size=30)
-    ga = gram(ca, ca, cfg)
-    gb = gram(cb, cb, cfg)
-    prod = hadamard_gram([ga, gb])
-    assert np.linalg.eigvalsh(prod.entries).min() >= -1e-8 * 30
-    del a
-
-
-def test_hadamard_shape_mismatch():
-    cfg = KernelConfig(1.0)
-    g1 = gram([0.0, 1.0], [0.0, 1.0], cfg)
-    g2 = gram([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], cfg)
-    with pytest.raises(ValidationError):
-        hadamard_gram([g1, g2])
+    # same dataset on both sides so each factor is PSD
+    d = Dataset({"A": rng.normal(size=30), "B": rng.normal(size=30)}, id="psd")
+    prod = GramCache().gram(d, d, ("A", "B"), KernelConfig(0.3))
+    assert np.linalg.eigvalsh(prod).min() >= -1e-8 * 30
 
 
 def test_median_heuristic_single_pair():
