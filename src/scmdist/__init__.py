@@ -20,16 +20,9 @@ from .distance import (
     pairwise_matrix,
     scmd,
 )
-from .embedding import (
-    EstimatorConfig,
-    WeightVector,
-    conditional_weights,
-    interventional_weights,
-    marginal_weights,
-    omega,
-)
+from .embedding import EstimatorConfig
 from .errors import NumericalError, ScmdistError, ValidationError
-from .graph import Dag, d_separated, parents, reachable, sid
+from .graph import Dag, d_separated, reachable, sid
 from .io import (
     load_dataset,
     load_graph,
@@ -45,7 +38,6 @@ from .oracle import (
     gaussian_embedding_inner,
     mmd_gaussians,
     mmd_joint_bivariate,
-    mmd_vstat_binned,
     plugin_scmd,
     scmd_case1,
     scmd_case2,
@@ -67,28 +59,21 @@ __all__ = [
     "PairwiseMatrix",
     "ScmdistError",
     "ValidationError",
-    "WeightVector",
     "DEFAULT_ESCMD_LEVELS",
-    "conditional_weights",
     "d_separated",
     "e_scmd",
     "embedding_distance_to_gaussian",
     "gaussian_embedding_inner",
     "gaussian_kernel",
-    "interventional_weights",
     "load_dataset",
     "load_graph",
-    "marginal_weights",
     "median_heuristic",
     "mimd",
     "mmd_gaussians",
     "mmd_joint_bivariate",
     "mmd_vstat",
-    "mmd_vstat_binned",
-    "omega",
     "p_scmd",
     "pairwise_matrix",
-    "parents",
     "plugin_scmd",
     "reachable",
     "sachs_expert_graph",

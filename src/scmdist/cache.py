@@ -94,8 +94,6 @@ class CholFactor:
 
     def __init__(self, matrix: np.ndarray, ridge: float, jitter: float, label: str,
                  low_rank: bool = False):
-        self.label = label
-        self.ridge = ridge
         self.rank = None
         jit = float(jitter)
         if low_rank:

@@ -28,11 +28,10 @@ from .distance import (
 )
 from .embedding import EstimatorConfig
 from .errors import NumericalError, ValidationError
-from .graph import sid
+from .graph import Dag, sid
 from .io import load_dataset, load_graph, render_report, save_dataset
 from .kernel import KernelConfig, median_heuristic
 from .synth import LinearGaussianScm, sample_m1, sample_m2, sample_scm
-from .graph import Dag
 
 DEFAULT_COST_BUDGET = 2e14
 
@@ -112,8 +111,9 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma-sq", type=float, default=None)
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--jitter", type=float, default=1e-10)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("SCMDIST_THREADS", "1")),
+    # a string default is converted by ``type`` during parsing, so a bad
+    # $SCMDIST_THREADS is a usage error of the pairwise command only
+    p.add_argument("--threads", type=int, default=os.environ.get("SCMDIST_THREADS", "1"),
                    help="worker threads over environments and targets (default $SCMDIST_THREADS or 1)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -213,7 +213,10 @@ def _run_pair_command(args) -> int:
         v1, v2 = _specs_for(args, d1, d2)
         report = p_scmd(g1, d1, g2, d2, args.target, v1, v2, cfg)
     else:
-        levels = [float(tok) for tok in args.levels.split(",") if tok.strip()]
+        try:
+            levels = [float(tok) for tok in args.levels.split(",") if tok.strip()]
+        except ValueError:
+            raise _UsageError(f"bad --levels {args.levels!r}, expected numbers") from None
         report = e_scmd(g1, d1, g2, d2, levels, cfg, pairing=args.pairing)
     _emit(report, args)
     return 0
@@ -250,14 +253,18 @@ def _run_synth(args) -> int:
             raise _UsageError("--model scm requires --spec FILE")
         import json
 
-        with open(args.spec, encoding="utf-8") as fh:
-            desc = json.load(fh)
-        dag = Dag(desc["nodes"], [tuple(e[:2]) for e in desc.get("edges", [])])
-        coeffs = {(e[0], e[1]): float(e[2]) for e in desc.get("edges", [])}
-        model = LinearGaussianScm(
-            dag=dag, coefficients=coeffs,
-            noise_variances={k: float(v) for k, v in desc["noise_variances"].items()},
-            intercepts={k: float(v) for k, v in desc.get("intercepts", {}).items()})
+        try:
+            with open(args.spec, encoding="utf-8") as fh:
+                desc = json.load(fh)
+            edges = desc.get("edges", [])
+            dag = Dag(desc["nodes"], [tuple(e[:2]) for e in edges])
+            coeffs = {(e[0], e[1]): float(e[2]) for e in edges}
+            noise = {k: float(v) for k, v in desc["noise_variances"].items()}
+            intercepts = {k: float(v) for k, v in desc.get("intercepts", {}).items()}
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"bad model spec {args.spec}: {exc!r}") from None
+        model = LinearGaussianScm(dag=dag, coefficients=coeffs,
+                                  noise_variances=noise, intercepts=intercepts)
         data = sample_scm(model, args.n, args.seed)
     save_dataset(data, args.out)
     print(f"scmdist: wrote {data.n} rows x {len(data.variable_names)} columns to {args.out}",

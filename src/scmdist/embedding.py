@@ -2,7 +2,8 @@
 
 An estimated embedding is represented by sample weights ``w`` such that
 ``mu_hat(.) = sum_n w[n] * k(v_j^(n), .)`` for the target variable's samples.
-Three cases, dispatched from the causal graph by :func:`omega`:
+Three cases, chosen from the causal graph by the planner in
+:mod:`scmdist.distance` (``_Side``):
 
   marginal        w = (1/N, ..., 1/N)
   conditional     w = (K_i + ridge*I)^-1 k_i(v)
@@ -17,37 +18,24 @@ renormalized to sum to one), only the first matches them at the published
 experiment values (0.1 to 1); scaling the ridge by N flattens the
 conditional weights.
 
-All three cases come from :func:`weight_columns`, which solves for every
-intervention value of one variable at once; :func:`omega` and the
-single-value functions below are one-column views of it.
+The conditional and interventional weights come from :func:`weight_columns`,
+which solves for every intervention value of one variable at once; the
+marginal weights need no solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .cache import GramCache
 from .dataset import Dataset
 from .errors import ValidationError
-from .graph import Dag, reachable
 from .kernel import KernelConfig, kernel_vector
 
-__all__ = [
-    "EstimatorConfig",
-    "WeightVector",
-    "marginal_weights",
-    "conditional_weights",
-    "interventional_weights",
-    "omega",
-    "weight_columns",
-]
-
-CASE_MARGINAL = "marginal"
-CASE_CONDITIONAL = "conditional"
-CASE_INTERVENTIONAL = "interventional"
+__all__ = ["EstimatorConfig", "weight_columns"]
 
 
 @dataclass(frozen=True)
@@ -55,8 +43,9 @@ class EstimatorConfig:
     """Kernel bandwidth plus regularization and numerical tolerances.
 
     ``ridge_lambda`` is the total diagonal ridge added to the Gram before the
-    symmetric positive-definite solve.  ``jitter`` is the starting diagonal
-    jitter (escalated x10 up to 1e-6 if a factorization fails).  ``clamp_tol``
+    symmetric positive-definite solve.  ``jitter`` is added to the diagonal
+    as well: a dense Cholesky factorization that fails escalates it x10 up to
+    1e-6, while a low-rank factor uses ridge + jitter as given.  ``clamp_tol``
     bounds how negative a squared distance may round before it is treated as
     a numerical failure; ``None`` means 1e-8 * N, chosen per computation.
     """
@@ -73,35 +62,6 @@ class EstimatorConfig:
             raise ValidationError(f"jitter must be >= 0, got {self.jitter!r}")
         if self.clamp_tol is not None and (not np.isfinite(self.clamp_tol) or self.clamp_tol < 0):
             raise ValidationError(f"clamp_tol must be >= 0 or None, got {self.clamp_tol!r}")
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Sample weights of an estimated embedding over one dataset."""
-
-    weights: np.ndarray
-    dataset_id: str = ""
-    target_variable: str = ""
-    case_tag: str = ""
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if w.size == 0:
-            raise ValidationError("weight vector is empty")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weight vector contains non-finite entries")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self):
-        return self.weights.size
-
-
-def marginal_weights(n: int, dataset_id: str = "", target: str = "") -> WeightVector:
-    """Uniform weights 1/n (empirical mean embedding)."""
-    if n < 1:
-        raise ValidationError(f"need n >= 1 samples, got {n}")
-    return WeightVector(np.full(n, 1.0 / n), dataset_id, target, CASE_MARGINAL)
 
 
 def weight_columns(data: Dataset, i: str, z: tuple[str, ...], values: Sequence[float],
@@ -126,46 +86,3 @@ def weight_columns(data: Dataset, i: str, z: tuple[str, ...], values: Sequence[f
         raise ValidationError("weight vector contains non-finite entries")
     return w
 
-
-def conditional_weights(data: Dataset, i: str, v_i: float, cfg: EstimatorConfig,
-                        target: str = "", cache: GramCache | None = None) -> WeightVector:
-    """Ridge-regression weights of the conditional embedding given V_i = v_i."""
-    w = weight_columns(data, i, (), [v_i], cfg, cache)
-    return WeightVector(w[:, 0], data.id, target, CASE_CONDITIONAL)
-
-
-def interventional_weights(data: Dataset, i: str, z: AbstractSet[str] | Sequence[str],
-                           v_i: float, cfg: EstimatorConfig,
-                           target: str = "", cache: GramCache | None = None) -> WeightVector:
-    """Adjustment-averaged conditional weights for do(V_i = v_i) with set z.
-
-    Averaging the joint-kernel query vector over the observed z rows is done
-    in closed form: u = k_i(v_i) ⊙ (K_z @ 1/N).
-    """
-    z_vars = tuple(sorted(z))
-    if not z_vars:
-        raise ValidationError("interventional weights need a non-empty adjustment set")
-    if i in z_vars:
-        raise ValidationError(f"adjustment set must not contain the intervened variable {i!r}")
-    w = weight_columns(data, i, z_vars, [v_i], cfg, cache)
-    return WeightVector(w[:, 0], data.id, target, CASE_INTERVENTIONAL)
-
-
-def omega(g: Dag, data: Dataset, i: str, j: str, v_i: float, cfg: EstimatorConfig,
-          cache: GramCache | None = None) -> WeightVector:
-    """Embedding weights for the effect of do(V_i = v_i) on V_j, per the graph.
-
-    No directed path from i to j: the intervention cannot affect j, so the
-    marginal embedding of j applies.  Otherwise condition on i directly when
-    i has no parents, else adjust for the parents of i.
-    """
-    if i == j:
-        raise ValidationError("omega requires two distinct variables")
-    g._require(i, j)
-    for name in (i, j):
-        data.column(name)
-    if not reachable(g, i, j):
-        return marginal_weights(data.n, data.id, j)
-    z = tuple(sorted(g.parents(i)))
-    w = weight_columns(data, i, z, [v_i], cfg, cache)
-    return WeightVector(w[:, 0], data.id, j, CASE_INTERVENTIONAL if z else CASE_CONDITIONAL)

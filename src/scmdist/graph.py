@@ -10,7 +10,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .errors import ValidationError
 
-__all__ = ["Dag", "parents", "reachable", "d_separated", "sid"]
+__all__ = ["Dag", "reachable", "d_separated", "sid"]
 
 
 class Dag:
@@ -137,11 +137,6 @@ class Dag:
 
     def __repr__(self):
         return f"Dag(nodes={list(self._nodes)!r}, edges={sorted(self._edges)!r})"
-
-
-def parents(g: Dag, v: str) -> frozenset[str]:
-    """Parent set of v in g."""
-    return g.parents(v)
 
 
 def reachable(g: Dag, i: str, j: str) -> bool:

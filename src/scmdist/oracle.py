@@ -31,7 +31,6 @@ __all__ = [
     "mmd_joint_bivariate",
     "plugin_scmd",
     "embedding_distance_to_gaussian",
-    "mmd_vstat_binned",
 ]
 
 
@@ -201,85 +200,3 @@ def embedding_distance_to_gaussian(weights: np.ndarray, samples: np.ndarray,
     sq = own - 2.0 * cross + gaussian_embedding_inner(g, g, bandwidth_sq)
     return math.sqrt(max(sq, 0.0))
 
-
-# ---------------------------------------------------------------------------
-# Large-sample V-statistics via linear binning + FFT convolution, for sample
-# sizes where the quadratic-time estimator is impractical.
-
-def _linear_bin_1d(x: np.ndarray, lo: float, h: float, m: int) -> np.ndarray:
-    pos = (x - lo) / h
-    idx = np.floor(pos).astype(int)
-    frac = pos - idx
-    w = np.zeros(m)
-    np.add.at(w, idx, 1.0 - frac)
-    np.add.at(w, idx + 1, frac)
-    return w
-
-
-def _binned_vstat_sum_1d(a, b, lo, h, m, s2):
-    # imported here, not at module level: scipy.signal is most of the
-    # package's import time, which every CLI process pays
-    from scipy.signal import fftconvolve
-
-    wa = _linear_bin_1d(a, lo, h, m)
-    wb = _linear_bin_1d(b, lo, h, m)
-    r = min(m - 1, int(np.ceil(10.0 * math.sqrt(s2) / h)))
-    offs = np.arange(-r, r + 1) * h
-    kern = np.exp(-offs ** 2 / (2.0 * s2))
-    return float(wa @ fftconvolve(wb, kern, mode="same"))
-
-
-def _bilinear_bin_2d(pts, lo, h, shape):
-    pos = (pts - lo) / h
-    idx = np.floor(pos).astype(int)
-    frac = pos - idx
-    w = np.zeros(shape)
-    for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        wt = (frac[:, 0] if dx else 1.0 - frac[:, 0]) * (frac[:, 1] if dy else 1.0 - frac[:, 1])
-        np.add.at(w, (idx[:, 0] + dx, idx[:, 1] + dy), wt)
-    return w
-
-
-def _binned_vstat_sum_2d(a, b, lo, h, shape, s2):
-    from scipy.signal import fftconvolve
-
-    wa = _bilinear_bin_2d(a, lo, h, shape)
-    wb = _bilinear_bin_2d(b, lo, h, shape)
-    r = int(np.ceil(10.0 * math.sqrt(s2) / h))
-    offs = np.arange(-r, r + 1) * h
-    kern = np.exp(-(offs[:, None] ** 2 + offs[None, :] ** 2) / (2.0 * s2))
-    return float(np.sum(wa * fftconvolve(wb, kern, mode="same")))
-
-
-def mmd_vstat_binned(a: np.ndarray, b: np.ndarray, bandwidth_sq: float,
-                     bins_per_sigma: int = 128) -> float:
-    """Biased V-statistic MMD between two samples, via linear binning.
-
-    Equivalent to the exact quadratic-time V-statistic up to the binning
-    interpolation error, roughly h^2 / (2 * bandwidth_sq) per kernel value
-    with h the grid step.  Handles 1-D samples of shape (N,) and 2-D samples
-    of shape (N, 2).
-    """
-    _check_bandwidth(bandwidth_sq)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    h = math.sqrt(bandwidth_sq) / bins_per_sigma
-    if a.ndim == 1:
-        lo = min(a.min(), b.min()) - h
-        hi = max(a.max(), b.max()) + h
-        m = int(np.ceil((hi - lo) / h)) + 2
-        saa = _binned_vstat_sum_1d(a, a, lo, h, m, bandwidth_sq)
-        sbb = _binned_vstat_sum_1d(b, b, lo, h, m, bandwidth_sq)
-        sab = _binned_vstat_sum_1d(a, b, lo, h, m, bandwidth_sq)
-    elif a.ndim == 2 and a.shape[1] == 2:
-        lo = np.minimum(a.min(axis=0), b.min(axis=0)) - h
-        hi = np.maximum(a.max(axis=0), b.max(axis=0)) + h
-        shape = tuple(int(np.ceil((hi[k] - lo[k]) / h)) + 2 for k in range(2))
-        saa = _binned_vstat_sum_2d(a, a, lo, h, shape, bandwidth_sq)
-        sbb = _binned_vstat_sum_2d(b, b, lo, h, shape, bandwidth_sq)
-        sab = _binned_vstat_sum_2d(a, b, lo, h, shape, bandwidth_sq)
-    else:
-        raise ValidationError("samples must have shape (N,) or (N, 2)")
-    na, nb = a.shape[0], b.shape[0]
-    sq = saa / na ** 2 + sbb / nb ** 2 - 2.0 * sab / (na * nb)
-    return math.sqrt(max(sq, 0.0))

@@ -152,15 +152,32 @@ def mimd_sq_double_sum(w1, y1, w2, y2, bandwidth_sq: float) -> float:
     return total
 
 
+def omega(g, data, i: str, j: str, v_i: float, cfg, cache=None) -> np.ndarray:
+    """Embedding weights for the effect of do(V_i = v_i) on V_j, one pair at a
+    time, by the case definitions.
+
+    No directed path from i to j: the intervention cannot affect j, so the
+    uniform marginal weights apply.  Otherwise the weights of do(V_i = v_i)
+    with the parents of i as adjustment set (conditional when it is empty).
+    """
+    from scmdist import reachable
+    from scmdist.embedding import weight_columns
+
+    if not reachable(g, i, j):
+        return np.full(data.n, 1.0 / data.n)
+    z = tuple(sorted(g.parents(i)))
+    return weight_columns(data, i, z, [v_i], cfg, cache)[:, 0]
+
+
 def scmd_pair_terms_loop(g1, d1, v1, g2, d2, v2, cfg, cache=None) -> dict:
     """SCMD pair terms by the per-pair definition: for every ordered pair
-    (i, j), one weight vector per side from ``omega`` and the three quadratic
-    forms w1'K1w1 - 2 w1'K12w2 + w2'K2w2 over Grams assembled here.
+    (i, j), one weight vector per side from :func:`omega` and the three
+    quadratic forms w1'K1w1 - 2 w1'K12w2 + w2'K2w2 over Grams assembled here.
 
     ``v1``, ``v2`` map each variable to its intervention value.  No canonical
     ordering of the two sides is applied.
     """
-    from scmdist import GramCache, omega
+    from scmdist import GramCache
 
     cache = cache or GramCache()
     s2 = cfg.kernel.bandwidth_sq
@@ -174,8 +191,8 @@ def scmd_pair_terms_loop(g1, d1, v1, g2, d2, v2, cfg, cache=None) -> dict:
         for j in names:
             if i == j:
                 continue
-            w1 = omega(g1, d1, i, j, v1[i], cfg, cache).weights
-            w2 = omega(g2, d2, i, j, v2[i], cfg, cache).weights
+            w1 = omega(g1, d1, i, j, v1[i], cfg, cache)
+            w2 = omega(g2, d2, i, j, v2[i], cfg, cache)
             y1, y2 = d1.column(j), d2.column(j)
             sq = (w1 @ gram(y1, y1) @ w1 - 2.0 * (w1 @ gram(y1, y2) @ w2)
                   + w2 @ gram(y2, y2) @ w2)

@@ -53,6 +53,7 @@ from oracles import (
     d_separated_bruteforce,
     mimd_sq_double_sum,
     mmd_gaussians_quadrature,
+    omega,
     random_dag,
     sid_bruteforce,
 )
@@ -305,8 +306,8 @@ def test_acceptance_9_oracle_equivalences():
         db = sample_m1(5, 25, 9200 + seed)
         for i, j in (("X", "Y"), ("Y", "X")):
             got = mimd(FWD, da, FWD, db, i, j, 1.0, 1.0, cfg, cache)
-            wa = sd.omega(FWD, da, i, j, 1.0, cfg, cache).weights
-            wb = sd.omega(FWD, db, i, j, 1.0, cfg, cache).weights
+            wa = omega(FWD, da, i, j, 1.0, cfg, cache)
+            wb = omega(FWD, db, i, j, 1.0, cfg, cache)
             expect = mimd_sq_double_sum(wa, da.column(j), wb, db.column(j), 0.1)
             worst_mimd = max(worst_mimd, abs(got ** 2 - expect))
 

@@ -52,6 +52,39 @@ def test_usage_error_exit_code_1():
     assert main(["frobnicate"]) == 1
 
 
+def test_bad_threads_environment_is_a_usage_error(tmp_path, fwd_graph, monkeypatch, capsys):
+    monkeypatch.setenv("SCMDIST_THREADS", "two")
+    # only the pairwise command reads the variable
+    assert main(["sid", fwd_graph, fwd_graph]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+    p1, p3 = write_samples(tmp_path)
+    assert main(["pairwise", "--data", p1, p3, "--graph", fwd_graph, "--metric", "scmd",
+                 "--sigma-sq", "0.1"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_bad_escmd_levels_is_a_usage_error(tmp_path, fwd_graph, capsys):
+    p1, p3 = write_samples(tmp_path)
+    assert main(["escmd", "--data1", p1, "--data2", p3, "--graph1", fwd_graph,
+                 "--graph2", fwd_graph, "--sigma-sq", "0.1", "--levels", "0.1,abc"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_bad_synth_spec_is_a_validation_error(tmp_path, capsys):
+    spec = tmp_path / "model.json"
+    out = str(tmp_path / "out.csv")
+    argv = ["synth", "--model", "scm", "--spec", str(spec), "--n", "10", "--out", out]
+    for text in (json.dumps({"nodes": ["X"], "edges": []}),  # no noise_variances
+                 '{"nodes": ["X"], ',
+                 json.dumps({"nodes": ["X", "Y"], "edges": [["X", "Y"]],
+                             "noise_variances": {"X": 1.0, "Y": 1.0}}),
+                 json.dumps(["X", "Y"])):
+        spec.write_text(text)
+        assert main(argv) == 2, text
+        assert "invalid input" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_validation_error_exit_code_2(tmp_path, fwd_graph):
     bad = tmp_path / "bad.csv"
     bad.write_text("X,Y\n1,apple\n")
@@ -205,5 +238,5 @@ def test_cli_import_leaves_scipy_signal_unloaded():
             "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120, check=True)
-    # scipy loads only with the dense Cholesky path or the binned MMD helpers
+    # scipy loads only with the dense Cholesky path, which importing does not take
     assert proc.stdout.strip() == "False []"

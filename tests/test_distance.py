@@ -15,7 +15,6 @@ from scmdist import (
     e_scmd,
     mimd,
     mmd_vstat,
-    omega,
     p_scmd,
     pairwise_matrix,
     sachs_expert_graph,
@@ -26,7 +25,7 @@ from scmdist import (
 )
 from scmdist.distance import EXP_FLOOR
 
-from oracles import mimd_sq_double_sum, mmd_vstat_naive, random_dag, scmd_pair_terms_loop
+from oracles import mimd_sq_double_sum, mmd_vstat_naive, omega, random_dag, scmd_pair_terms_loop
 
 FWD = Dag(["X", "Y"], [("X", "Y")])
 REV = Dag(["X", "Y"], [("Y", "X")])
@@ -47,8 +46,8 @@ def test_mimd_squared_matches_double_sum_expansion():
     cache = GramCache()
     for i, j in (("X", "Y"), ("Y", "X")):
         got = mimd(FWD, d1, FWD, d2, i, j, 1.0, 1.0, CFG, cache)
-        w1 = omega(FWD, d1, i, j, 1.0, CFG, cache).weights
-        w2 = omega(FWD, d2, i, j, 1.0, CFG, cache).weights
+        w1 = omega(FWD, d1, i, j, 1.0, CFG, cache)
+        w2 = omega(FWD, d2, i, j, 1.0, CFG, cache)
         expect_sq = mimd_sq_double_sum(w1, d1.column(j), w2, d2.column(j), 0.1)
         assert got ** 2 == pytest.approx(expect_sq, abs=1e-10)
 

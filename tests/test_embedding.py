@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,43 +9,26 @@ from scmdist import (
     GramCache,
     KernelConfig,
     ValidationError,
-    conditional_weights,
     embedding_distance_to_gaussian,
     gaussian_kernel,
-    interventional_weights,
-    marginal_weights,
-    omega,
+    mimd,
     sample_m1,
     sample_scm,
     LinearGaussianScm,
 )
+from scmdist.distance import _Side
+from scmdist.embedding import weight_columns
 
 
 def small_cfg(bandwidth_sq=0.5, lam=0.1):
     return EstimatorConfig(kernel=KernelConfig(bandwidth_sq), ridge_lambda=lam)
 
 
-def test_marginal_weights_quarter():
-    w = marginal_weights(4)
-    assert np.array_equal(w.weights, np.full(4, 0.25))
-    assert w.case_tag == "marginal"
-
-
-def test_marginal_weights_sum_to_one():
-    for n in (1, 3, 7, 100, 999):
-        assert abs(math.fsum(marginal_weights(n).weights) - 1.0) <= 1e-12
-
-
-def test_marginal_weights_rejects_zero():
-    with pytest.raises(ValidationError):
-        marginal_weights(0)
-
-
 def test_marginal_embedding_norm_matches_double_sum():
     rng = np.random.default_rng(20)
     col = rng.normal(size=20)
     cfg = KernelConfig(0.7)
-    w = marginal_weights(20).weights
+    w = np.full(20, 1.0 / 20)
     direct = 0.0
     for s in range(20):
         for t in range(20):
@@ -59,34 +40,34 @@ def test_marginal_embedding_norm_matches_double_sum():
 def test_conditional_weights_vanish_under_huge_ridge():
     d = sample_m1(3, 100, 0)
     cfg = EstimatorConfig(kernel=KernelConfig(0.5), ridge_lambda=1e12)
-    w = conditional_weights(d, "X", 1.0, cfg)
-    assert np.all(np.abs(w.weights) < 1e-9)
+    w = weight_columns(d, "X", (), [1.0], cfg)[:, 0]
+    assert np.all(np.abs(w) < 1e-9)
 
 
 def test_conditional_weights_match_naive_ridge_solve():
     rng = np.random.default_rng(21)
     d = Dataset({"X": rng.normal(size=50), "Y": rng.normal(size=50)}, id="krr")
     cfg = small_cfg(0.4, 0.3)
-    w = conditional_weights(d, "X", 0.2, cfg)
+    w = weight_columns(d, "X", (), [0.2], cfg)[:, 0]
     # independent assembly: explicit matrix, generic LU solve
     x = d.column("X")
     k_mat = np.exp(-np.subtract.outer(x, x) ** 2 / (2 * 0.4))
     k_vec = np.exp(-((x - 0.2) ** 2) / (2 * 0.4))
     naive = np.linalg.solve(k_mat + (0.3 + cfg.jitter) * np.eye(50), k_vec)
-    np.testing.assert_allclose(w.weights, naive, atol=1e-10)
+    np.testing.assert_allclose(w, naive, atol=1e-10)
     # and the induced prediction of f = k(y0, .) agrees
     y = d.column("Y")
     y0 = 0.7
     f_vals = np.exp(-((y - y0) ** 2) / (2 * 0.4))
-    assert w.weights @ f_vals == pytest.approx(naive @ f_vals, abs=1e-10)
+    assert w @ f_vals == pytest.approx(naive @ f_vals, abs=1e-10)
 
 
 def test_conditional_embedding_mean_recovers_linear_effect():
     # forward model with slope 3: E[Y | X=1] = 3, weighted-sample mean within 0.1
     d = sample_m1(3, 10_000, 7)
     cfg = EstimatorConfig(kernel=KernelConfig(0.1), ridge_lambda=0.05)
-    w = conditional_weights(d, "X", 1.0, cfg)
-    assert w.weights @ d.column("Y") == pytest.approx(3.0, abs=0.1)
+    w = weight_columns(d, "X", (), [1.0], cfg)[:, 0]
+    assert w @ d.column("Y") == pytest.approx(3.0, abs=0.1)
 
 
 def test_interventional_constant_adjustment_column_degenerates():
@@ -94,10 +75,9 @@ def test_interventional_constant_adjustment_column_degenerates():
     d = Dataset({"X": rng.normal(size=60), "C": np.full(60, 2.0),
                  "Y": rng.normal(size=60)}, id="const-z")
     cfg = small_cfg()
-    w_int = interventional_weights(d, "X", {"C"}, 0.5, cfg)
-    w_cond = conditional_weights(d, "X", 0.5, cfg)
-    np.testing.assert_allclose(w_int.weights, w_cond.weights, atol=1e-12)
-    assert w_int.case_tag == "interventional"
+    w_int = weight_columns(d, "X", ("C",), [0.5], cfg)[:, 0]
+    w_cond = weight_columns(d, "X", (), [0.5], cfg)[:, 0]
+    np.testing.assert_allclose(w_int, w_cond, atol=1e-12)
 
 
 def test_interventional_recovers_chain_causal_effect():
@@ -106,8 +86,8 @@ def test_interventional_recovers_chain_causal_effect():
                               {"Z": 1.0, "X": 1.0, "Y": 1.0})
     d = sample_scm(model, 10_000, 11)
     cfg = EstimatorConfig(kernel=KernelConfig(0.5), ridge_lambda=0.05)
-    w = interventional_weights(d, "X", {"Z"}, 1.0, cfg)
-    assert w.weights @ d.column("Y") == pytest.approx(2.0, abs=0.1)
+    w = weight_columns(d, "X", ("Z",), [1.0], cfg)[:, 0]
+    assert w @ d.column("Y") == pytest.approx(2.0, abs=0.1)
 
 
 def test_interventional_equals_average_of_per_sample_conditionals():
@@ -116,7 +96,7 @@ def test_interventional_equals_average_of_per_sample_conditionals():
     d = Dataset({"X": rng.normal(size=n), "Z": rng.normal(size=n),
                  "Y": rng.normal(size=n)}, id="avg")
     cfg = small_cfg(0.6, 0.2)
-    w = interventional_weights(d, "X", {"Z"}, 0.4, cfg).weights
+    w = weight_columns(d, "X", ("Z",), [0.4], cfg)[:, 0]
 
     x, z = d.column("X"), d.column("Z")
     kx = np.exp(-np.subtract.outer(x, x) ** 2 / (2 * 0.6))
@@ -130,38 +110,38 @@ def test_interventional_equals_average_of_per_sample_conditionals():
     np.testing.assert_allclose(w, acc / n, atol=1e-10)
 
 
-def test_interventional_validation():
-    d = sample_m1(3, 50, 0)
-    cfg = small_cfg()
-    with pytest.raises(ValidationError):
-        interventional_weights(d, "X", set(), 1.0, cfg)
-    with pytest.raises(ValidationError):
-        interventional_weights(d, "X", {"X"}, 1.0, cfg)
+def _side_column(g, d, i, j, v, cfg):
+    """The planner's weight column of do(V_i = v) on V_j for one side."""
+    values = {name: [v] for name in d.variable_names}
+    stack, cols = _Side(g, d, values, [(i, j)], cfg, GramCache()).stacks[j]
+    return stack[:, cols[i][0]]
 
 
 def test_omega_dispatch_matches_graph_cases():
     cfg = small_cfg()
     fwd = Dag(["X", "Y"], [("X", "Y")])
     d = sample_m1(3, 80, 1)
-    assert omega(fwd, d, "Y", "X", 0.0, cfg).case_tag == "marginal"
-    assert omega(fwd, d, "X", "Y", 0.0, cfg).case_tag == "conditional"
+    # Y does not reach X: the marginal case
+    assert np.array_equal(_side_column(fwd, d, "Y", "X", 0.0, cfg), np.full(80, 1.0 / 80))
+    # X reaches Y and has no parents: the conditional case
+    assert np.array_equal(_side_column(fwd, d, "X", "Y", 0.0, cfg),
+                          weight_columns(d, "X", (), [0.0], cfg)[:, 0])
 
     chain = Dag(["Z", "X", "Y"], [("Z", "X"), ("X", "Y")])
     model = LinearGaussianScm(chain, {("Z", "X"): 1.0, ("X", "Y"): 1.0},
                               {"Z": 1.0, "X": 1.0, "Y": 1.0})
     dc = sample_scm(model, 80, 2)
-    w = omega(chain, dc, "X", "Y", 0.0, cfg)
-    assert w.case_tag == "interventional"
-    assert w.target_variable == "Y"
+    # X reaches Y and has the parent Z: the interventional case
+    assert np.array_equal(_side_column(chain, dc, "X", "Y", 0.0, cfg),
+                          weight_columns(dc, "X", ("Z",), [0.0], cfg)[:, 0])
 
 
 def test_omega_deterministic():
     cfg = small_cfg()
-    g = Dag(["X", "Y"], [("X", "Y")])
     d = sample_m1(3, 200, 3)
-    w1 = omega(g, d, "X", "Y", 1.0, cfg)
-    w2 = omega(g, d, "X", "Y", 1.0, cfg, cache=GramCache())
-    assert np.array_equal(w1.weights, w2.weights)
+    w1 = weight_columns(d, "X", (), [1.0], cfg)
+    w2 = weight_columns(d, "X", (), [1.0], cfg, cache=GramCache())
+    assert np.array_equal(w1, w2)
 
 
 def test_omega_rejects_same_variable():
@@ -169,7 +149,7 @@ def test_omega_rejects_same_variable():
     g = Dag(["X", "Y"], [("X", "Y")])
     d = sample_m1(3, 50, 4)
     with pytest.raises(ValidationError):
-        omega(g, d, "X", "X", 1.0, cfg)
+        mimd(g, d, g, d, "X", "X", 1.0, 1.0, cfg)
 
 
 def test_conditional_estimate_converges_to_closed_form():
@@ -182,9 +162,9 @@ def test_conditional_estimate_converges_to_closed_form():
         dists = []
         for seed in range(20):
             d = sample_m1(3, n, 100 * seed + n)
-            w = conditional_weights(d, "X", 1.0, cfg)
+            w = weight_columns(d, "X", (), [1.0], cfg)[:, 0]
             dists.append(embedding_distance_to_gaussian(
-                w.weights, d.column("Y"), target, 0.5))
+                w, d.column("Y"), target, 0.5))
         medians.append(float(np.median(dists)))
     assert medians[0] >= medians[1] >= medians[2]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scmdist import Dag, ValidationError, d_separated, parents, reachable, sachs_expert_graph, sid
+from scmdist import Dag, ValidationError, d_separated, reachable, sachs_expert_graph, sid
 
 from oracles import d_separated_bruteforce, random_dag, sid_bruteforce, transitive_closure
 
@@ -12,19 +12,19 @@ def chain():
 
 def test_parents_chain_and_root():
     g = chain()
-    assert parents(g, "Z") == {"Y"}
-    assert parents(g, "X") == frozenset()
+    assert g.parents("Z") == {"Y"}
+    assert g.parents("X") == frozenset()
 
 
 def test_parents_unknown_node():
     with pytest.raises(ValidationError):
-        parents(chain(), "W")
+        chain().parents("W")
 
 
 def test_sachs_mid_pathway_parents():
     g = sachs_expert_graph()
-    assert parents(g, "Mek") == {"PKC", "PKA", "Raf"}
-    assert parents(g, "PIP2") == {"Plcg", "PIP3"}
+    assert g.parents("Mek") == {"PKC", "PKA", "Raf"}
+    assert g.parents("PIP2") == {"Plcg", "PIP3"}
     assert len(g.nodes) == 11
     assert len(g.edges) == 17
 
