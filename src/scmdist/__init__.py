@@ -22,7 +22,7 @@ from .distance import (
 )
 from .embedding import EstimatorConfig
 from .errors import NumericalError, ScmdistError, ValidationError
-from .graph import Dag, d_separated, reachable, sid
+from .graph import Dag, d_separated, sid
 from .io import (
     load_dataset,
     load_graph,
@@ -75,7 +75,6 @@ __all__ = [
     "p_scmd",
     "pairwise_matrix",
     "plugin_scmd",
-    "reachable",
     "sachs_expert_graph",
     "sample_m1",
     "sample_m2",

@@ -5,7 +5,7 @@ variables are queried at many intervention values or across many variable
 pairs.  A :class:`GramCache` keys Grams by (row dataset, column dataset,
 variable tuple, bandwidth), low-rank rows by (datasets, variable,
 bandwidth) and Cholesky factors by (dataset, variable tuple, bandwidth,
-total ridge, jitter).
+total ridge); every factor adds the fixed jitter JITTER_FLOOR (see CholFactor).
 
 The Gaussian Gram of one variable is numerically low-rank.  An adaptive
 pivoted Cholesky factorization (Harbrecht, Peters & Schneider 2012) gives
@@ -214,14 +214,14 @@ class GramCache:
         return self._get_or_build(key, build)
 
     def factor(self, data: Dataset, variables: tuple[str, ...], kcfg: KernelConfig,
-               ridge: float, jitter: float) -> CholFactor:
-        """Factor of the joint Gram over ``variables`` plus ridge.
+               ridge: float) -> CholFactor:
+        """Factor of the joint Gram over ``variables`` plus ridge and JITTER_FLOOR.
 
         One variable with a positive ridge takes the cached low-rank rows of
         :meth:`rows`, which every ridge shares; only past their rank cap is
         the (cached) Gram factored.
         """
-        key = ("chol", data.id, tuple(variables), kcfg.bandwidth_sq, ridge, jitter)
+        key = ("chol", data.id, tuple(variables), kcfg.bandwidth_sq, ridge)
         label = f"variables {list(variables)!r} of dataset {data.id!r}"
         # look up rows and Grams first: the cache lock is not reentrant
         rows = None
@@ -229,4 +229,5 @@ class GramCache:
             rows = self.rows([data], variables[0], kcfg)
         low_rank = rows is not None
         matrix = rows if low_rank else self.gram(data, data, variables, kcfg)
-        return self._get_or_build(key, lambda: CholFactor(matrix, ridge, jitter, label, low_rank))
+        return self._get_or_build(
+            key, lambda: CholFactor(matrix, ridge, JITTER_FLOOR, label, low_rank))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -51,12 +53,16 @@ def _add_common(p, two_graphs=True):
     if two_graphs:
         p.add_argument("--graph1", required=True, help="first causal graph (edge list)")
         p.add_argument("--graph2", required=True, help="second causal graph (edge list)")
+    _add_estimator_options(p)
+
+
+def _add_estimator_options(p):
     p.add_argument("--sigma-sq", type=float, default=None,
                    help="Gaussian kernel variance (default: median heuristic)")
     p.add_argument("--lam", type=float, default=0.5, help="ridge regularization (default 0.5)")
-    p.add_argument("--jitter", type=float, default=1e-10, help="initial diagonal jitter")
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="result format (default json)")
     p.add_argument("--cost-budget", type=float, default=DEFAULT_COST_BUDGET,
                    help="warn when predicted d^3*N^3 work exceeds this")
 
@@ -108,16 +114,11 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", choices=("mean", "user"), default="mean")
     p.add_argument("--intervene", action="append", default=[], metavar="ENV:NAME=VALUE",
                    help="user-policy intervention value for one environment (repeatable)")
-    p.add_argument("--sigma-sq", type=float, default=None)
-    p.add_argument("--lam", type=float, default=0.5)
-    p.add_argument("--jitter", type=float, default=1e-10)
+    _add_estimator_options(p)
     # a string default is converted by ``type`` during parsing, so a bad
     # $SCMDIST_THREADS is a usage error of the pairwise command only
     p.add_argument("--threads", type=int, default=os.environ.get("SCMDIST_THREADS", "1"),
                    help="worker threads over environments and targets (default $SCMDIST_THREADS or 1)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cost-budget", type=float, default=DEFAULT_COST_BUDGET)
 
     p = sub.add_parser("synth", help="sample a linear-Gaussian SCM to CSV")
     p.add_argument("--model", choices=("m1", "m2", "scm"), required=True,
@@ -158,7 +159,7 @@ def _estimator_config(args, datasets) -> EstimatorConfig:
         kcfg = _shared_bandwidth(datasets)
         print(f"scmdist: using median-heuristic bandwidth_sq={kcfg.bandwidth_sq:g}",
               file=sys.stderr)
-    return EstimatorConfig(kernel=kcfg, ridge_lambda=args.lam, jitter=args.jitter)
+    return EstimatorConfig(kernel=kcfg, ridge_lambda=args.lam)
 
 
 def _cost_guardrail(n_max: int, d: int, budget: float):
@@ -193,9 +194,17 @@ def _emit(result, args) -> None:
         sys.stdout.write(text)
 
 
+def _load_datasets(paths) -> list[Dataset]:
+    """One dataset per distinct path, with the file stem for its id, or the
+    path as given where two distinct paths share a stem."""
+    distinct = list(dict.fromkeys(paths))
+    stems = Counter(Path(p).stem for p in distinct)
+    loaded = {p: load_dataset(p, id=p if stems[Path(p).stem] > 1 else None) for p in distinct}
+    return [loaded[p] for p in paths]
+
+
 def _run_pair_command(args) -> int:
-    d1 = load_dataset(args.data1)
-    d2 = load_dataset(args.data2)
+    d1, d2 = _load_datasets([args.data1, args.data2])
     cfg = _estimator_config(args, (d1, d2))
     if args.command == "mmd":
         value = mmd_vstat(d1, d2, cfg.kernel)
@@ -223,7 +232,7 @@ def _run_pair_command(args) -> int:
 
 
 def _run_pairwise(args) -> int:
-    envs = [load_dataset(path) for path in args.data]
+    envs = _load_datasets(args.data)
     g = load_graph(args.graph, nodes=envs[0].variable_names)
     cfg = _estimator_config(args, envs)
     _cost_guardrail(max(e.n for e in envs), len(envs[0].variable_names), args.cost_budget)

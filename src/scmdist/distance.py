@@ -35,6 +35,11 @@ Past rank total N / 4 the forms use the dense Grams instead, one GEMM of
 the N x N Gram with M per side and couple (about 2 N^2 C flops).  A
 pairwise matrix computes each environment's weights, projections and
 self-forms once for all its pairs.
+
+One reduction, :func:`_reduce`, serves every distance: it reads the pair
+terms at their combinations of intervention values (one, or E-SCMD's
+quantile levels), clamps to 0 a square at or above -1e-8 max(N1, N2)
+(below it raises NumericalError), and sums the roots with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -68,6 +73,8 @@ __all__ = [
 DEFAULT_ESCMD_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
 # lower clip of the MMD kernel exponents; see mmd_vstat
 EXP_FLOOR = -700.0
+# a squared distance below -CLAMP_PER_SAMPLE * max(N1, N2) is a numerical failure
+CLAMP_PER_SAMPLE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -131,12 +138,6 @@ def _as_spec(v, policy_hint: str = "user") -> InterventionSpec:
     if isinstance(v, InterventionSpec):
         return v
     return InterventionSpec(v, origin=policy_hint)
-
-
-def _effective_clamp(cfg: EstimatorConfig, n1: int, n2: int) -> float:
-    if cfg.clamp_tol is not None:
-        return cfg.clamp_tol
-    return 1e-8 * max(n1, n2)
 
 
 def _canonical_order(g1, d1, v1, g2, d2, v2):
@@ -257,29 +258,43 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
     return tables
 
 
-def _roots(sq: np.ndarray, i: str, j: str, cfg: EstimatorConfig, clamp: float) -> np.ndarray:
-    """Distances from squared distances; a square below -clamp is a numerical failure."""
-    worst = sq.min()
-    if worst < -clamp:
-        raise NumericalError(
-            f"squared distance for pair ({i!r}, {j!r}) is {worst:.3e} < -{clamp:.1e}; "
-            f"numerical breakdown (bandwidth_sq={cfg.kernel.bandwidth_sq:g}, "
-            f"ridge_lambda={cfg.ridge_lambda:g})"
-        )
-    return np.sqrt(np.maximum(sq, 0.0))
+def _reduce(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
+            pairs: Sequence[tuple[str, str]], cfg: EstimatorConfig, cache: GramCache,
+            combos=([0], [0]), threads: int = 1) -> list[tuple[float, dict]]:
+    """(distance, pair terms) of every couple of sides.
+
+    ``combos`` holds the row (first side) and column (second side) indices
+    into the :func:`_sq_tables` tables of the combinations of intervention
+    values; each pair term, and the distance, is the mean over them."""
+    rows, cols = (np.asarray(c, dtype=np.intp) for c in combos)
+    count = len(rows)
+    out = []
+    for (a, b), table in zip(couples, _sq_tables(sides, couples, cfg, cache, threads)):
+        clamp = CLAMP_PER_SAMPLE * max(sides[a].data.n, sides[b].data.n)
+        # pairs x combinations, so the check and the roots are one pass each
+        sq = np.array([table[p][rows, cols] for p in pairs]).reshape(len(pairs), count)
+        worst = sq.min(axis=1)
+        bad = np.flatnonzero(worst < -clamp)
+        if bad.size:
+            (i, j), low = pairs[bad[0]], worst[bad[0]]
+            raise NumericalError(
+                f"squared distance for pair ({i!r}, {j!r}) is {low:.3e} < -{clamp:.1e}; "
+                f"numerical breakdown (bandwidth_sq={cfg.kernel.bandwidth_sq:g}, "
+                f"ridge_lambda={cfg.ridge_lambda:g})"
+            )
+        roots = np.sqrt(np.maximum(sq, 0.0)).tolist()
+        value = math.fsum(math.fsum(col) for col in zip(*roots)) / count
+        out.append((value, {p: math.fsum(r) / count for p, r in zip(pairs, roots)}))
+    return out
 
 
-def _point_terms(g1, d1, v1, g2, d2, v2, pairs, cfg, cache) -> dict:
-    """Pair terms between two sides, each intervened at one value per variable."""
+def _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache) -> tuple[float, dict]:
+    """(distance, pair terms) of two sides intervened at one value per variable."""
     g1, d1, v1, g2, d2, v2 = _canonical_order(g1, d1, v1, g2, d2, v2)
     sides = [_Side(g, d, {i: [v.value_for(i)] for i, _ in pairs}, pairs, cfg, cache)
              for g, d, v in ((g1, d1, v1), (g2, d2, v2))]
-    [table] = _sq_tables(sides, [(0, 1)], cfg, cache)
-    return _point_values(table, pairs, cfg, _effective_clamp(cfg, d1.n, d2.n))
-
-
-def _point_values(table, pairs, cfg, clamp) -> dict:
-    return {p: float(_roots(table[p], *p, cfg, clamp)[0, 0]) for p in pairs}
+    [result] = _reduce(sides, [(0, 1)], pairs, cfg, cache)
+    return result
 
 
 def mimd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, i: str, j: str,
@@ -293,9 +308,8 @@ def mimd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, i: str, j: str,
         g._require(i, j)
         d.column(i)
         d.column(j)
-    terms = _point_terms(g1, d1, InterventionSpec({i: v1}), g2, d2, InterventionSpec({i: v2}),
-                         [(i, j)], cfg, cache or GramCache())
-    return terms[(i, j)]
+    return _point_distance(g1, d1, InterventionSpec({i: v1}), g2, d2, InterventionSpec({i: v2}),
+                           [(i, j)], cfg, cache or GramCache())[0]
 
 
 def _check_same_variables(d1: Dataset, d2: Dataset, g1: Dag, g2: Dag):
@@ -310,20 +324,12 @@ def _check_same_variables(d1: Dataset, d2: Dataset, g1: Dag, g2: Dag):
 
 
 def _config_echo(cfg: EstimatorConfig, **extra) -> dict:
-    echo = {
-        "bandwidth_sq": cfg.kernel.bandwidth_sq,
-        "ridge_lambda": cfg.ridge_lambda,
-        "jitter": cfg.jitter,
-        "clamp_tol": cfg.clamp_tol,
-    }
-    echo.update(extra)
-    return echo
+    return {"bandwidth_sq": cfg.kernel.bandwidth_sq, "ridge_lambda": cfg.ridge_lambda, **extra}
 
 
-def _point_report(kind, terms, pairs, dataset_ids, v1, v2, cfg, **echo) -> DistanceReport:
+def _point_report(kind, result, dataset_ids, v1, v2, cfg, **echo) -> DistanceReport:
     return DistanceReport(
-        value=math.fsum(terms[p] for p in pairs), pair_terms=terms,
-        dataset_ids=dataset_ids, kind=kind,
+        *result, dataset_ids=dataset_ids, kind=kind,
         config_echo=_config_echo(cfg, **echo, interventions_1=dict(v1.values),
                                  interventions_2=dict(v2.values),
                                  origins=(v1.origin, v2.origin)),
@@ -338,8 +344,8 @@ def scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
     names = _check_same_variables(d1, d2, g1, g2)
     pairs = [(i, j) for i in names for j in names if i != j]
     v1, v2 = _as_spec(v1), _as_spec(v2)
-    terms = _point_terms(g1, d1, v1, g2, d2, v2, pairs, cfg, cache or GramCache())
-    return _point_report("scmd", terms, pairs, (d1.id, d2.id), v1, v2, cfg)
+    result = _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache or GramCache())
+    return _point_report("scmd", result, (d1.id, d2.id), v1, v2, cfg)
 
 
 def p_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, target: str,
@@ -352,8 +358,8 @@ def p_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, target: str,
         raise ValidationError(f"unknown target variable {target!r}")
     pairs = [(i, target) for i in names if i != target]
     v1, v2 = _as_spec(v1), _as_spec(v2)
-    terms = _point_terms(g1, d1, v1, g2, d2, v2, pairs, cfg, cache or GramCache())
-    return _point_report("p-scmd", terms, pairs, (d1.id, d2.id), v1, v2, cfg, target=target)
+    result = _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache or GramCache())
+    return _point_report("p-scmd", result, (d1.id, d2.id), v1, v2, cfg, target=target)
 
 
 def e_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
@@ -391,22 +397,15 @@ def e_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
     names = _check_same_variables(d1, d2, g1, g2)
     pairs = [(i, j) for i in names for j in names if i != j]
     cache = cache or GramCache()
-    # the set of combinations is symmetric and every sum below is an fsum,
-    # so the canonical swap of the two sides leaves the result unchanged
+    # the set of combinations is symmetric and every sum of the reduction is
+    # an fsum, so the canonical swap of the two sides leaves the result unchanged
     ga, da, _, gb, db, _ = _canonical_order(g1, d1, None, g2, d2, None)
     sides = [_Side(g, d, {v: [d.quantile(v, q) for q in levels] for v in names},
                    pairs, cfg, cache) for g, d in ((ga, da), (gb, db))]
-    [table] = _sq_tables(sides, [(0, 1)], cfg, cache)
     count = len(levels)
-    if pairing == "grid":
-        rows, cols = np.divmod(np.arange(count * count), count)
-    else:
-        rows = cols = np.arange(count)
-    clamp = _effective_clamp(cfg, d1.n, d2.n)
-    roots = {p: _roots(table[p][rows, cols], *p, cfg, clamp).tolist() for p in pairs}
-    combos = len(rows)
-    value = math.fsum(math.fsum(roots[p][c] for p in pairs) for c in range(combos)) / combos
-    pair_terms = {p: math.fsum(roots[p]) / combos for p in pairs}
+    combos = (np.divmod(np.arange(count * count), count) if pairing == "grid"
+              else (np.arange(count),) * 2)
+    [(value, pair_terms)] = _reduce(sides, [(0, 1)], pairs, cfg, cache, combos)
     return DistanceReport(
         value=value, pair_terms=pair_terms, dataset_ids=(d1.id, d2.id), kind="e-scmd",
         config_echo=_config_echo(cfg, levels=levels, pairing=pairing),
@@ -525,12 +524,10 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
                                      pairs, cfg, cache), envs, threads)
         # each pair's cross-forms in canonical dataset-id order, as scmd does
         couples = [(r, c) if ids[r] < ids[c] else (c, r) for r, c in pair_index]
-        tables = _sq_tables(sides, couples, cfg, cache, threads)
-        for (r, c), (a, b), table in zip(pair_index, couples, tables):
-            clamp = _effective_clamp(cfg, envs[a].n, envs[b].n)
+        for (r, c), result in zip(pair_index, _reduce(sides, couples, pairs, cfg, cache,
+                                                      threads=threads)):
             reports[(ids[r], ids[c])] = _point_report(
-                "scmd", _point_values(table, pairs, cfg, clamp), pairs,
-                (ids[r], ids[c]), specs[ids[r]], specs[ids[c]], cfg)
+                "scmd", result, (ids[r], ids[c]), specs[ids[r]], specs[ids[c]], cfg)
         results = [report.value for report in reports.values()]
 
     values = np.zeros((len(envs), len(envs)))

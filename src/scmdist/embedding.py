@@ -40,28 +40,22 @@ __all__ = ["EstimatorConfig", "weight_columns"]
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Kernel bandwidth plus regularization and numerical tolerances.
+    """The estimator's two parameters: the kernel bandwidth and the ridge.
 
     ``ridge_lambda`` is the total diagonal ridge added to the Gram before the
-    symmetric positive-definite solve.  ``jitter`` is added to the diagonal
-    as well: a dense Cholesky factorization that fails escalates it x10 up to
-    1e-6, while a low-rank factor uses ridge + jitter as given.  ``clamp_tol``
-    bounds how negative a squared distance may round before it is treated as
-    a numerical failure; ``None`` means 1e-8 * N, chosen per computation.
+    symmetric positive-definite solve.  The numerical safeguards are fixed,
+    not configured: a jitter of 1e-10 is added to the diagonal as well (a
+    dense Cholesky factorization that fails escalates it x10 up to 1e-6),
+    and a squared distance may round as low as -1e-8 * max(N1, N2) before
+    it counts as a numerical failure (see :mod:`scmdist.distance`).
     """
 
     kernel: KernelConfig
     ridge_lambda: float = 0.5
-    jitter: float = 1e-10
-    clamp_tol: float | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.ridge_lambda) or self.ridge_lambda < 0:
             raise ValidationError(f"ridge_lambda must be >= 0, got {self.ridge_lambda!r}")
-        if not np.isfinite(self.jitter) or self.jitter < 0:
-            raise ValidationError(f"jitter must be >= 0, got {self.jitter!r}")
-        if self.clamp_tol is not None and (not np.isfinite(self.clamp_tol) or self.clamp_tol < 0):
-            raise ValidationError(f"clamp_tol must be >= 0 or None, got {self.clamp_tol!r}")
 
 
 def weight_columns(data: Dataset, i: str, z: tuple[str, ...], values: Sequence[float],
@@ -75,7 +69,7 @@ def weight_columns(data: Dataset, i: str, z: tuple[str, ...], values: Sequence[f
     if not z and data.n < 2:
         raise ValidationError("conditional weights need at least 2 samples")
     cache = cache or GramCache()
-    factor = cache.factor(data, (i,) + z, cfg.kernel, cfg.ridge_lambda, cfg.jitter)
+    factor = cache.factor(data, (i,) + z, cfg.kernel, cfg.ridge_lambda)
     x = data.column(i)
     rhs = np.column_stack([kernel_vector(x, v, cfg.kernel) for v in values])
     if z:

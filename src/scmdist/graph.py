@@ -10,7 +10,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .errors import ValidationError
 
-__all__ = ["Dag", "reachable", "d_separated", "sid"]
+__all__ = ["Dag", "d_separated", "sid"]
 
 
 class Dag:
@@ -137,14 +137,6 @@ class Dag:
 
     def __repr__(self):
         return f"Dag(nodes={list(self._nodes)!r}, edges={sorted(self._edges)!r})"
-
-
-def reachable(g: Dag, i: str, j: str) -> bool:
-    """True iff a directed path i -> ... -> j exists."""
-    g._require(i, j)
-    if i == j:
-        raise ValidationError("reachable requires two distinct nodes")
-    return j in g.descendants(i)
 
 
 def d_separated(g: Dag, a: str, b: str, s: AbstractSet[str]) -> bool:

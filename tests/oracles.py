@@ -160,10 +160,9 @@ def omega(g, data, i: str, j: str, v_i: float, cfg, cache=None) -> np.ndarray:
     uniform marginal weights apply.  Otherwise the weights of do(V_i = v_i)
     with the parents of i as adjustment set (conditional when it is empty).
     """
-    from scmdist import reachable
     from scmdist.embedding import weight_columns
 
-    if not reachable(g, i, j):
+    if j not in g.descendants(i):
         return np.full(data.n, 1.0 / data.n)
     z = tuple(sorted(g.parents(i)))
     return weight_columns(data, i, z, [v_i], cfg, cache)[:, 0]

@@ -39,7 +39,6 @@ EXPECTED_ALL = [
     "p_scmd",
     "pairwise_matrix",
     "plugin_scmd",
-    "reachable",
     "sachs_expert_graph",
     "sample_m1",
     "sample_m2",
@@ -56,11 +55,11 @@ EXPECTED_ALL = [
 REMOVED = {
     "scmdist": ["WeightVector", "marginal_weights", "conditional_weights",
                 "interventional_weights", "omega", "parents", "mmd_vstat_binned",
-                "GramMatrix", "gram", "hadamard_gram"],
+                "GramMatrix", "gram", "hadamard_gram", "reachable"],
     "scmdist.embedding": ["WeightVector", "marginal_weights", "conditional_weights",
                           "interventional_weights", "omega", "CASE_MARGINAL",
                           "CASE_CONDITIONAL", "CASE_INTERVENTIONAL"],
-    "scmdist.graph": ["parents"],
+    "scmdist.graph": ["parents", "reachable"],
     "scmdist.oracle": ["mmd_vstat_binned", "_linear_bin_1d", "_binned_vstat_sum_1d",
                        "_bilinear_bin_2d", "_binned_vstat_sum_2d"],
 }

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from scmdist import Dataset, EstimatorConfig, GramCache, KernelConfig, NumericalError, sample_m1
-from scmdist.cache import CholFactor
+from scmdist.cache import JITTER_FLOOR, CholFactor
 from scmdist.embedding import weight_columns
 
 JITTER = 1e-10
@@ -27,7 +27,7 @@ def test_low_rank_solve_matches_dense_cho_solve(big, bandwidth_sq):
         gram = cache.gram(big, big, (var,), kcfg)
         rhs = kernel_columns(x, np.quantile(x, [0.1, 0.5, 0.9]), bandwidth_sq)
         for ridge in (0.1, 0.5, 1.0):
-            factor = cache.factor(big, (var,), kcfg, ridge, JITTER)
+            factor = cache.factor(big, (var,), kcfg, ridge)
             assert isinstance(factor.rank, int) and factor.rank <= big.n // 4
             assert factor.jitter_used == JITTER
             dense = cho_solve(cho_factor(gram + (ridge + JITTER) * np.eye(big.n)), rhs)
@@ -37,13 +37,13 @@ def test_low_rank_solve_matches_dense_cho_solve(big, bandwidth_sq):
 def test_dense_factor_for_joint_key_zero_ridge_and_high_rank(big):
     cache = GramCache()
     kcfg = KernelConfig(1.0)
-    assert cache.factor(big, ("X",), kcfg, 0.5, JITTER).rank is not None
-    assert cache.factor(big, ("Y", "X"), kcfg, 0.5, JITTER).rank is None
-    assert cache.factor(big, ("X",), kcfg, 0.0, JITTER).rank is None
+    assert cache.factor(big, ("X",), kcfg, 0.5).rank is not None
+    assert cache.factor(big, ("Y", "X"), kcfg, 0.5).rank is None
+    assert cache.factor(big, ("X",), kcfg, 0.0).rank is None
     # a narrow kernel leaves too many columns for a rank at most N/4
     d = sample_m1(3, 400, 401)
     narrow = KernelConfig(1e-4)
-    factor = cache.factor(d, ("X",), narrow, 0.5, JITTER)
+    factor = cache.factor(d, ("X",), narrow, 0.5)
     assert factor.rank is None
     gram = cache.gram(d, d, ("X",), narrow)
     rhs = kernel_columns(d.column("X"), [0.0, 1.0], 1e-4)
@@ -54,8 +54,13 @@ def test_dense_factor_for_joint_key_zero_ridge_and_high_rank(big):
 def test_zero_ridge_keeps_jitter_escalation_and_its_error():
     # a constant column has the all-ones Gram, singular without jitter
     d = Dataset({"X": np.ones(30)}, id="constant")
-    factor = GramCache().factor(d, ("X",), KernelConfig(1.0), 0.0, 0.0)
+    factor = GramCache().factor(d, ("X",), KernelConfig(1.0), 0.0)
     assert factor.rank is None and factor.jitter_used == 1e-10
+    # started at zero, the all-ones matrix fails and escalates to the floor
+    assert CholFactor(np.ones((30, 30)), 0.0, 0.0, "all ones").jitter_used == 1e-10
+    # eigenvalues -5e-10: fails at the floor, factors one x10 step later
+    near = np.ones((30, 30)) - 5e-10 * np.eye(30)
+    assert CholFactor(near, 0.0, JITTER_FLOOR, "near-singular").jitter_used == 1e-9
     with pytest.raises(NumericalError, match="jitter escalated to 1e-06"):
         CholFactor(-np.eye(4), 0.0, 0.0, "an indefinite matrix")
 
@@ -64,7 +69,7 @@ def test_low_rank_weights_vanish_under_huge_ridge(big):
     cfg = EstimatorConfig(kernel=KernelConfig(0.5), ridge_lambda=1e12)
     cache = GramCache()
     w = weight_columns(big, "X", (), [-1.0, 0.0, 1.0], cfg, cache)
-    assert cache.factor(big, ("X",), cfg.kernel, 1e12, cfg.jitter).rank is not None
+    assert cache.factor(big, ("X",), cfg.kernel, 1e12).rank is not None
     assert np.all(np.abs(w) < 1e-9)
 
 
@@ -82,7 +87,7 @@ def test_single_variable_factors_share_the_cached_rows_across_ridges(big, monkey
     cache = GramCache()
     kcfg = KernelConfig(1.0)
     rows = cache.rows([big], "X", kcfg)
-    ranks = {cache.factor(big, ("X",), kcfg, ridge, JITTER).rank for ridge in (0.1, 0.5, 1.0)}
+    ranks = {cache.factor(big, ("X",), kcfg, ridge).rank for ridge in (0.1, 0.5, 1.0)}
     assert ranks == {rows.shape[0]}
     assert len(pivots) == 1
 
@@ -103,6 +108,6 @@ def test_rank_capped_factor_factors_the_cached_gram(monkeypatch):
     narrow = KernelConfig(1e-4)
     assert cache.rows([d], "X", narrow) is None
     for ridge in (0.1, 0.5):
-        assert cache.factor(d, ("X",), narrow, ridge, JITTER).rank is None
+        assert cache.factor(d, ("X",), narrow, ridge).rank is None
     cache.gram(d, d, ("X",), narrow)
     assert len(builds) == 1

@@ -240,3 +240,74 @@ def test_cli_import_leaves_scipy_signal_unloaded():
                           capture_output=True, text=True, timeout=120, check=True)
     # scipy loads only with the dense Cholesky path, which importing does not take
     assert proc.stdout.strip() == "False []"
+
+
+def test_scmd_of_a_file_with_itself_is_zero(tmp_path, fwd_graph, capsys):
+    p1, _ = write_samples(tmp_path)
+    assert main(["scmd", "--data1", p1, "--data2", p1, "--graph1", fwd_graph,
+                 "--graph2", fwd_graph, "--sigma-sq", "0.1", "--policy", "mean"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == 0.0
+    assert payload["dataset_ids"] == ["d1", "d1"]
+
+
+def _same_stem_files(tmp_path):
+    paths = []
+    for sub, (a, seed) in (("a", (3, 90)), ("b", (5, 91))):
+        (tmp_path / sub).mkdir()
+        paths.append(str(tmp_path / sub / "env.csv"))
+        save_dataset(sample_m1(a, 300, seed), paths[-1])
+    return paths
+
+
+def test_files_sharing_a_stem_take_their_paths_for_ids(tmp_path, fwd_graph, capsys):
+    pa, pb = _same_stem_files(tmp_path)
+    common = ["--sigma-sq", "0.1"]
+    assert main(["scmd", "--data1", pa, "--data2", pb, "--graph1", fwd_graph,
+                 "--graph2", fwd_graph, "--policy", "mean", *common]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dataset_ids"] == [pa, pb] and payload["value"] > 0
+    assert main(["mmd", "--data1", pa, "--data2", pb, *common]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] > 0
+    assert main(["pairwise", "--data", pa, pb, "--graph", fwd_graph, "--metric", "scmd",
+                 *common]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ids"] == [pa, pb] and payload["values"][0][1] > 0
+
+
+def test_pairwise_rejects_a_repeated_path(tmp_path, fwd_graph, capsys):
+    p1, _ = write_samples(tmp_path)
+    assert main(["pairwise", "--data", p1, p1, "--graph", fwd_graph, "--metric", "scmd",
+                 "--sigma-sq", "0.1"]) == 2
+    assert "distinct ids" in capsys.readouterr().err
+
+
+def test_pairwise_help_documents_the_shared_options(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["pairwise", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for help_text in ("Gaussian kernel variance (default: median heuristic)",
+                      "ridge regularization (default 0.5)",
+                      "write the result here instead of stdout",
+                      "result format (default json)",
+                      "warn when predicted d^3*N^3 work exceeds this"):
+        assert help_text in text
+
+
+@pytest.mark.parametrize("command", ["scmd", "pscmd", "escmd", "mmd", "pairwise"])
+def test_jitter_flag_is_a_usage_error(tmp_path, fwd_graph, command, capsys):
+    p1, p3 = write_samples(tmp_path)
+    pair = ["--data1", p1, "--data2", p3]
+    graphs = ["--graph1", fwd_graph, "--graph2", fwd_graph]
+    argv = [command, "--sigma-sq", "0.1", *{
+        "scmd": [*pair, *graphs, "--policy", "mean"],
+        "pscmd": [*pair, *graphs, "--policy", "mean", "--target", "Y"],
+        "escmd": [*pair, *graphs],
+        "mmd": pair,
+        "pairwise": ["--data", p1, p3, "--graph", fwd_graph, "--metric", "scmd"],
+    }[command]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--jitter", "1e-10"]) == 1
+    assert "unrecognized arguments: --jitter" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -320,6 +321,55 @@ def test_mimd_large_negative_square_raises(monkeypatch):
     with pytest.raises(NumericalError):
         e_scmd(FWD, d1, FWD, d2, [0.25, 0.75], CFG, pairing="grid")
     e_scmd(FWD, d1, FWD, d2, [0.25, 0.75], CFG, pairing="paired")
+
+
+@pytest.mark.parametrize("scale, raises", [(0.9, False), (1.1, True)])
+def test_negative_square_clamp_is_1e_8_times_the_larger_sample(monkeypatch, scale, raises):
+    import scmdist.distance as dist_mod
+    from scmdist import NumericalError
+
+    d1 = sample_m1(3, 50, 46)
+    d2 = sample_m1(5, 70, 47)
+    real = dist_mod._sq_tables
+
+    def patch(entry):
+        def last_first_set(*args, **kwargs):
+            tables = real(*args, **kwargs)
+            for table in tables:
+                for sq in table.values():
+                    sq[-1, 0] = entry
+            return tables
+
+        monkeypatch.setattr(dist_mod, "_sq_tables", last_first_set)
+
+    runs = {"scmd": lambda: scmd(FWD, d1, REV, d2, UNIT, UNIT, CFG),
+            "e_scmd": lambda: e_scmd(FWD, d1, REV, d2, [0.25, 0.75], CFG, pairing="grid")}
+    for name, run in runs.items():
+        patch(-scale * 1e-8 * max(d1.n, d2.n))
+        if raises:
+            with pytest.raises(NumericalError):
+                run()
+            continue
+        clamped = run()
+        if name == "scmd":  # its one combination is the patched entry
+            assert set(clamped.pair_terms.values()) == {0.0}
+        patch(0.0)
+        zero = run()
+        assert (clamped.value, clamped.pair_terms) == (zero.value, zero.pair_terms), name
+
+
+def test_reports_echo_no_numerical_knobs():
+    from scmdist.io import render_report
+
+    d1, d2 = sample_m1(3, 60, 48), sample_m2(3, 60, 49)
+    reports = [scmd(FWD, d1, REV, d2, UNIT, UNIT, CFG),
+               p_scmd(FWD, d1, REV, d2, "Y", UNIT, UNIT, CFG),
+               e_scmd(FWD, d1, REV, d2, [0.5], CFG)]
+    reports += pairwise_matrix([d1, sample_m1(5, 60, 50)], FWD, "scmd", CFG).reports.values()
+    for report in reports:
+        assert {"bandwidth_sq", "ridge_lambda"} <= set(report.config_echo)
+        config = json.loads(render_report(report))["config"]
+        assert "jitter" not in config and "clamp_tol" not in config
 
 
 def _quantiles(d, level):

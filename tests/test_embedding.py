@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from scmdist import (
     sample_scm,
     LinearGaussianScm,
 )
+from scmdist.cache import JITTER_FLOOR
 from scmdist.distance import _Side
 from scmdist.embedding import weight_columns
 
@@ -53,7 +56,7 @@ def test_conditional_weights_match_naive_ridge_solve():
     x = d.column("X")
     k_mat = np.exp(-np.subtract.outer(x, x) ** 2 / (2 * 0.4))
     k_vec = np.exp(-((x - 0.2) ** 2) / (2 * 0.4))
-    naive = np.linalg.solve(k_mat + (0.3 + cfg.jitter) * np.eye(50), k_vec)
+    naive = np.linalg.solve(k_mat + (0.3 + JITTER_FLOOR) * np.eye(50), k_vec)
     np.testing.assert_allclose(w, naive, atol=1e-10)
     # and the induced prediction of f = k(y0, .) agrees
     y = d.column("Y")
@@ -102,7 +105,7 @@ def test_interventional_equals_average_of_per_sample_conditionals():
     kx = np.exp(-np.subtract.outer(x, x) ** 2 / (2 * 0.6))
     kz = np.exp(-np.subtract.outer(z, z) ** 2 / (2 * 0.6))
     joint = kx * kz
-    solve_mat = joint + (0.2 + cfg.jitter) * np.eye(n)
+    solve_mat = joint + (0.2 + JITTER_FLOOR) * np.eye(n)
     acc = np.zeros(n)
     for sample in range(n):
         query = np.exp(-((x - 0.4) ** 2) / (2 * 0.6)) * kz[:, sample]
@@ -173,10 +176,13 @@ def test_estimator_config_validation():
     k = KernelConfig(1.0)
     with pytest.raises(ValidationError):
         EstimatorConfig(kernel=k, ridge_lambda=-1.0)
-    with pytest.raises(ValidationError):
-        EstimatorConfig(kernel=k, jitter=-1e-3)
-    with pytest.raises(ValidationError):
-        EstimatorConfig(kernel=k, clamp_tol=-1.0)
+
+
+def test_estimator_config_is_kernel_and_ridge_only():
+    assert [f.name for f in dataclasses.fields(EstimatorConfig)] == ["kernel", "ridge_lambda"]
+    for knob in ("jitter", "clamp_tol"):
+        with pytest.raises(TypeError):
+            EstimatorConfig(kernel=KernelConfig(1.0), **{knob: 1e-10})
 
 
 def test_cache_rejects_id_reuse():

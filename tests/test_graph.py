@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scmdist import Dag, ValidationError, d_separated, reachable, sachs_expert_graph, sid
+from scmdist import Dag, ValidationError, d_separated, sachs_expert_graph, sid
 
 from oracles import d_separated_bruteforce, random_dag, sid_bruteforce, transitive_closure
 
@@ -31,13 +31,13 @@ def test_sachs_mid_pathway_parents():
 
 def test_reachable_direction():
     g = Dag(["X", "Y"], [("X", "Y")])
-    assert reachable(g, "X", "Y")
-    assert not reachable(g, "Y", "X")
+    assert "Y" in g.descendants("X")
+    assert "X" not in g.descendants("Y")
 
 
 def test_reachable_disconnected():
     g = Dag(["A", "B"], [])
-    assert not reachable(g, "A", "B")
+    assert "B" not in g.descendants("A")
 
 
 def test_reachable_matches_transitive_closure():
@@ -48,7 +48,7 @@ def test_reachable_matches_transitive_closure():
         for a in g.nodes:
             for b in g.nodes:
                 if a != b:
-                    assert reachable(g, a, b) == closure[(a, b)]
+                    assert (b in g.descendants(a)) == closure[(a, b)]
 
 
 def test_reachable_transitivity():
@@ -58,8 +58,8 @@ def test_reachable_transitivity():
         for a in g.nodes:
             for b in g.nodes:
                 for c in g.nodes:
-                    if len({a, b, c}) == 3 and reachable(g, a, b) and reachable(g, b, c):
-                        assert reachable(g, a, c)
+                    if len({a, b, c}) == 3 and b in g.descendants(a) and c in g.descendants(b):
+                        assert c in g.descendants(a)
 
 
 def test_collider_blocks_without_conditioning():
