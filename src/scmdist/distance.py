@@ -45,7 +45,6 @@ quantile levels), clamps to 0 a square at or above -1e-8 max(N1, N2)
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -202,6 +201,10 @@ class _Side:
 
 def _map(fn, items, threads: int) -> list:
     if threads > 1:
+        # imported here: concurrent.futures (and the logging it loads) would
+        # cost every single-threaded CLI process about 9 ms
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

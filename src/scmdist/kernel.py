@@ -8,6 +8,11 @@ parameterized by its variance ``sigma_sq`` (squared data units).  Joint
 kernels over several variables are Hadamard (entrywise) products of the
 per-variable Grams (see :meth:`scmdist.cache.GramCache.gram`), which
 realizes the product kernel.
+
+The default bandwidth is the median heuristic: the median squared
+difference over the pairs of an evenly strided subsample of at most 1000
+points.  It is selected exactly from the sorted subsample, by counting and
+bracketing, instead of from all 499,500 differences.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ __all__ = [
 
 # Cap on the number of points used by the median heuristic.
 MEDIAN_HEURISTIC_MAX_POINTS = 1000
+# About this many evenly spaced sorted points bracket the median heuristic's
+# middle ranks with their pairwise differences.
+_BRACKET_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -89,28 +97,105 @@ def median_heuristic(col, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS) -> Kern
     """Default bandwidth: median of squared pairwise differences.
 
     Uses a deterministic evenly strided subsample of at most ``max_points``
-    points so the cost stays quadratic in ``max_points`` only.  Raises when
-    every value is identical (no usable scale; pass an explicit bandwidth).
+    points.  The median is selected exactly, without forming all
+    n(n - 1)/2 differences of the n subsampled points.  Sorted, the points
+    make each row of differences ``b[j] - b[i]`` (j > i) nondecreasing, so
+    the pairs below a threshold are counted row by row with binary
+    searches.  The differences among about 128 evenly spaced sorted points
+    bracket the middle ranks; only the pairs inside the bracket are
+    gathered and partitioned, and a bracket that misses the ranks is
+    widened, at most to all pairs.  The cost is a sort, about 10k sample
+    differences, a few O(n log n) counting passes and the bracket: about 2%
+    of all pairs on continuous data (10k of 499,500 at n = 1000), more
+    when ties crowd the middle ranks.  The value equals ``np.median`` of all
+    the squared differences bit for bit.  Raises when the median is 0 (no
+    usable scale; pass an explicit bandwidth).
     """
+    if max_points < 2:
+        raise ValidationError(f"max_points must be at least 2, got {max_points!r}")
     a = _as_clean_column(col, "column")
     if a.size < 2:
         raise ValidationError("median heuristic needs at least 2 values")
     if a.size > max_points:
         idx = np.linspace(0, a.size - 1, max_points).round().astype(int)
         a = a[idx]
-    # upper-triangle squared differences, row by row (the order of triu_indices)
-    n = a.size
-    pair_vals = np.empty(n * (n - 1) // 2)
-    start = 0
-    for s in range(n - 1):
-        stop = start + n - 1 - s
-        np.subtract(a[s + 1:], a[s], out=pair_vals[start:stop])
-        start = stop
-    np.square(pair_vals, out=pair_vals)
-    med = float(np.median(pair_vals))
+    b = np.sort(a)
+    n_pairs = b.size * (b.size - 1) // 2
+    x0, x1 = _middle_differences(b, (n_pairs - 1) // 2, n_pairs // 2)
+    # combined as np.median combines the middle squares of an even count
+    med = float(x0 * x0) if n_pairs % 2 else float((x0 * x0 + x1 * x1) / 2.0)
     if med <= 0.0:
+        counts = np.unique(b, return_counts=True)[1]
+        equal = int((counts * (counts - 1) // 2).sum())
         raise ValidationError(
-            "median heuristic degenerate (all subsampled values identical); "
-            "supply an explicit bandwidth_sq"
+            f"median heuristic degenerate: the median squared difference over "
+            f"{n_pairs} subsampled pairs is 0 ({equal} of them are pairs of equal "
+            "values); supply an explicit bandwidth_sq"
         )
     return KernelConfig(bandwidth_sq=med)
+
+
+def _middle_differences(b: np.ndarray, k0: int, k1: int) -> tuple[float, float]:
+    """Order statistics k0 <= k1 (0-based) of the differences b[j] - b[i],
+    j > i, of the sorted array ``b``, each computed as that one subtraction.
+
+    Rounding is sign-symmetric, so these are the magnitudes of the
+    differences of the unsorted points, and it is monotone, so each row i
+    is nondecreasing in j.
+    """
+    n = b.size
+    grid = np.arange(0, n, max(1, n // _BRACKET_POINTS))
+    sample = (b[grid] - b[grid, None])[grid > grid[:, None]]
+    n_pairs = n * (n - 1) // 2
+    centre = (k0 + k1) / 2.0 * sample.size / n_pairs
+    margin = np.sqrt(sample.size) + 1.0
+    first = np.arange(1, n + 1)
+    while True:
+        i_lo, i_hi = int(centre - margin), int(np.ceil(centre + margin))
+        part = np.partition(sample, [max(i_lo, 0), min(i_hi, sample.size - 1)])
+        lo = part[i_lo] if i_lo >= 0 else 0.0
+        hi = part[i_hi] if i_hi < sample.size else np.inf
+        start, stop = _first_failing(b, lo, np.less), _first_failing(b, hi, np.less_equal)
+        below, upto = int((start - first).sum()), int((stop - first).sum())
+        if below <= k0 and k1 < upto:
+            break
+        margin *= 4.0  # ends at the bracket [0, inf], which holds every pair
+    if lo == hi:  # every pair inside the bracket equals lo
+        return lo, hi
+    # the pairs lo <= b[j] - b[i] <= hi: j in [start[i], stop[i]) for row i
+    width = stop - start
+    j = np.repeat(start - (np.cumsum(width) - width), width)
+    j += np.arange(j.size)
+    inside = b[j]
+    del j  # at most two pair-length arrays alive: 8 MB when the bracket is all pairs
+    inside -= np.repeat(b, width)
+    inside.partition([k0 - below, k1 - below])
+    return inside[k0 - below], inside[k1 - below]
+
+
+def _first_failing(b: np.ndarray, t: float, keep) -> np.ndarray:
+    """For every row i of the sorted array ``b``, the first j > i whose
+    computed difference ``b[j] - b[i]`` fails ``keep(d, t)`` (``np.less`` or
+    ``np.less_equal``), or ``b.size``.
+
+    A binary search for ``b + t`` gives a first guess.  Since ``b + t``
+    rounds, the guess is moved, one run of equal values at a time, until
+    the computed differences on both sides of it agree with ``keep``.
+    """
+    n = b.size
+    lowest = np.arange(1, n + 1)
+    p = np.maximum(np.searchsorted(b, b + t, side="left" if keep is np.less else "right"),
+                   lowest)
+    while True:
+        r = np.flatnonzero(p < n)
+        r = r[keep(b[p[r]] - b[r], t)]
+        if not r.size:
+            break
+        p[r] = np.searchsorted(b, b[p[r]], side="right")
+    while True:
+        r = np.flatnonzero(p > lowest)
+        r = r[~keep(b[p[r] - 1] - b[r], t)]
+        if not r.size:
+            break
+        p[r] = np.maximum(np.searchsorted(b, b[p[r] - 1], side="left"), lowest[r])
+    return p

@@ -235,11 +235,12 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     src = str(Path(scmdist.__file__).resolve().parents[1])
     code = ("import sys, scmdist.cli; "
             "print('scipy.signal' in sys.modules, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            "if m.split('.')[0] == 'scipy'), 'concurrent.futures' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120, check=True)
-    # scipy loads only with the dense Cholesky path, which importing does not take
-    assert proc.stdout.strip() == "False []"
+    # scipy loads only with the dense Cholesky path, which importing does not
+    # take, and the thread pool only for threads > 1
+    assert proc.stdout.strip() == "False [] False"
 
 
 def test_scmd_of_a_file_with_itself_is_zero(tmp_path, fwd_graph, capsys):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from scmdist import (
     gaussian_kernel,
     median_heuristic,
 )
-from scmdist.kernel import MEDIAN_HEURISTIC_MAX_POINTS, gram_entries
+from scmdist.kernel import MEDIAN_HEURISTIC_MAX_POINTS, _first_failing, gram_entries
 
 from oracles import median_heuristic_outer
 
@@ -137,6 +140,25 @@ def test_median_heuristic_identical_values_error():
         median_heuristic([1.0])
 
 
+def test_median_heuristic_zero_median_error_counts_the_equal_pairs():
+    # the values are not all identical, but 319600 of the 499500 pairs are equal
+    col = np.concatenate([np.zeros(800), np.arange(1.0, 201.0)])
+    with pytest.raises(ValidationError, match=r"median squared difference over 499500 "
+                       r"subsampled pairs is 0 \(319600 of them are pairs of equal values\)"):
+        median_heuristic(col)
+
+
+@pytest.mark.parametrize("max_points", [1, 0, -3])
+def test_median_heuristic_rejects_max_points_below_two(max_points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="max_points must be at least 2"):
+            median_heuristic(np.arange(10.0), max_points)
+        # checked before the column
+        with pytest.raises(ValidationError, match="max_points"):
+            median_heuristic([], max_points)
+
+
 def test_median_heuristic_subsample_deterministic():
     rng = np.random.default_rng(7)
     col = rng.normal(size=5000)
@@ -149,7 +171,43 @@ def test_median_heuristic_bitwise_equals_outer_difference_formula():
     # ties: few distinct values, so many equal squared differences
     cols += [rng.integers(0, 4, size=n).astype(float) for n in (5, 200, 2500)]
     cols.append(np.round(rng.normal(size=1500), 1))
+    # odd pair count: 998 * 997 / 2 = 497503
+    cols.append(rng.normal(size=998))
+    # differences in {0, 1, 2}: both middle ranks inside the run of 1s
+    cols.append(rng.integers(0, 3, size=1000).astype(float))
+    # a large offset with a small spread
+    cols.append(1e8 + rng.normal(size=1000))
+    cols.append(rng.standard_cauchy(size=1000))
+    cols.append(-3.0 - rng.exponential(size=700))
     for col in cols:
         for max_points in (MEDIAN_HEURISTIC_MAX_POINTS, 50):
             got = median_heuristic(col, max_points).bandwidth_sq
             assert got == median_heuristic_outer(col, max_points)
+
+
+def test_first_failing_counts_the_computed_differences():
+    # rows from -1e8 round their differences to the points near 1 by up to
+    # 7e-9, so a binary search for b + t alone misplaces many boundaries
+    rng = np.random.default_rng(10)
+    b = np.sort(np.concatenate([-1e8 - rng.random(60), 1.0 - 1e-12 * np.arange(60),
+                                1.0 + 1e-12 * np.arange(60), rng.normal(size=60),
+                                np.repeat([2.0, 3.0], 30)]))
+    diff = b[None, :] - b[:, None]
+    later = np.arange(b.size) > np.arange(b.size)[:, None]
+    for t in (0.0, 1e8 + 1.0, 1e8 + 2.0, 1.0, 2e-11, 1e-3, np.inf, *rng.choice(diff[later], 20)):
+        for keep in (np.less, np.less_equal):
+            counts = _first_failing(b, t, keep) - np.arange(1, b.size + 1)
+            assert np.array_equal(counts, (keep(diff, t) & later).sum(axis=1))
+
+
+def test_median_heuristic_peak_memory_stays_below_2_mb():
+    col = np.random.default_rng(9).normal(size=5000)
+    median_heuristic(col)
+    tracemalloc.start()
+    try:
+        median_heuristic(col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 499500 squared differences of the subsample alone take 4 MB
+    assert peak < 2_000_000
