@@ -2,10 +2,11 @@
 
 Gram construction is the dominant repeated cost when the same dataset and
 variables are queried at many intervention values or across many variable
-pairs.  A :class:`GramCache` keys Grams by (row dataset, column dataset,
-variable tuple, bandwidth), low-rank rows by (datasets, variable,
+pairs.  A :class:`GramCache` keys the Gram of one variable by (row dataset,
+column dataset, variable, bandwidth), low-rank rows by (datasets, variable,
 bandwidth) and Cholesky factors by (dataset, variable tuple, bandwidth,
-total ridge); every factor adds the fixed jitter JITTER_FLOOR (see CholFactor).
+total ridge); every factor adds the fixed jitter JITTER_FLOOR.  A Gram over
+several variables, the product of the cached ones, is formed per call.
 
 The Gaussian Gram of one variable is numerically low-rank.  An adaptive
 pivoted Cholesky factorization (Harbrecht, Peters & Schneider 2012) gives
@@ -19,11 +20,12 @@ rows of its one dataset, shared by every ridge, and is solved through the
 Woodbury identity (Fine & Scheinberg 2001): 4 N r flops per right-hand
 side.  Joint Grams over several variables, a zero ridge (the Woodbury
 identity divides by it), and Grams whose rank would exceed N/4 keep the
-dense (cached) Gram and its N^3/3 Cholesky factorization.
+dense Gram and its N^3/3 Cholesky factorization.
 
-Lookups and construction are serialized by one lock per cache, so each key
-is built once and every hit refreshes its entry's recency.  Entries are
-evicted least-recently-used.
+Lookups and construction are serialized by one re-entrant lock per cache,
+so each key is built once and every hit refreshes its entry's recency; an
+entry's build looks up its own inputs, so a hit touches no other entry.
+Entries are evicted least-recently-used.
 
 Dataset identity is the dataset ``id`` string: within one cache lifetime an
 id must always refer to the same object (enforced), so cached entries can
@@ -142,7 +144,7 @@ class GramCache:
         if capacity < 1:
             raise ValidationError("cache capacity must be >= 1")
         self._capacity = capacity
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._entries: OrderedDict = OrderedDict()
         self._datasets: dict[str, Dataset] = {}
 
@@ -172,29 +174,25 @@ class GramCache:
 
     def gram(self, row: Dataset, col: Dataset, variables: tuple[str, ...],
              kcfg: KernelConfig) -> np.ndarray:
-        """Hadamard-product Gram over ``variables`` between two datasets."""
+        """Hadamard-product Gram over ``variables`` between two datasets: the
+        cached (read-only) Gram for one variable, a new array for several."""
         if not variables:
             raise ValidationError("need at least one variable for a Gram matrix")
         self._register(row, col)
-        key = ("gram", row.id, col.id, tuple(variables), kcfg.bandwidth_sq)
-        if len(variables) > 1:
-            # joint product kernel assembled from cached per-variable Grams;
-            # resolve the factors first (the cache lock is not reentrant)
-            factors = [self.gram(row, col, (v,), kcfg) for v in variables]
 
-            def build():
-                out = factors[0].copy()
-                for f in factors[1:]:
-                    out *= f
-                out.setflags(write=False)
-                return out
-        else:
-            def build():
-                out = gram_entries(row.column(variables[0]), col.column(variables[0]), kcfg)
-                out.setflags(write=False)
-                return out
+        def build(v):
+            out = gram_entries(row.column(v), col.column(v), kcfg)
+            out.setflags(write=False)
+            return out
 
-        return self._get_or_build(key, build)
+        grams = [self._get_or_build(("gram", row.id, col.id, v, kcfg.bandwidth_sq),
+                                    lambda v=v: build(v)) for v in variables]
+        if len(grams) == 1:
+            return grams[0]
+        out = grams[0] * grams[1]
+        for g in grams[2:]:
+            out *= g
+        return out
 
     def rows(self, datasets: Sequence[Dataset], variable: str,
              kcfg: KernelConfig) -> np.ndarray | None:
@@ -221,13 +219,15 @@ class GramCache:
         :meth:`rows`, which every ridge shares; only past their rank cap is
         the (cached) Gram factored.
         """
+        self._register(data)
         key = ("chol", data.id, tuple(variables), kcfg.bandwidth_sq, ridge)
         label = f"variables {list(variables)!r} of dataset {data.id!r}"
-        # look up rows and Grams first: the cache lock is not reentrant
-        rows = None
-        if len(variables) == 1 and ridge > 0:
-            rows = self.rows([data], variables[0], kcfg)
-        low_rank = rows is not None
-        matrix = rows if low_rank else self.gram(data, data, variables, kcfg)
-        return self._get_or_build(
-            key, lambda: CholFactor(matrix, ridge, JITTER_FLOOR, label, low_rank))
+
+        def build():
+            if len(variables) == 1 and ridge > 0:
+                rows = self.rows([data], variables[0], kcfg)
+                if rows is not None:
+                    return CholFactor(rows, ridge, JITTER_FLOOR, label, low_rank=True)
+            return CholFactor(self.gram(data, data, variables, kcfg), ridge, JITTER_FLOOR, label)
+
+        return self._get_or_build(key, build)

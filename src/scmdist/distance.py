@@ -133,10 +133,10 @@ class PairwiseMatrix:
         object.__setattr__(self, "values", v)
 
 
-def _as_spec(v, policy_hint: str = "user") -> InterventionSpec:
+def _as_spec(v) -> InterventionSpec:
     if isinstance(v, InterventionSpec):
         return v
-    return InterventionSpec(v, origin=policy_hint)
+    return InterventionSpec(v)
 
 
 def _canonical_order(g1, d1, v1, g2, d2, v2):

@@ -38,34 +38,25 @@ class Dag:
         for u, v in seen:
             self._children[u].add(v)
             self._parents[v].add(u)
-        cycle = self._find_cycle()
-        if cycle is not None:
-            raise ValidationError("graph has a directed cycle: " + " -> ".join(cycle))
-
-    def _find_cycle(self):
-        # Iterative DFS; returns one cycle's node sequence (closed), or None.
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {n: WHITE for n in self._nodes}
-        for root in self._nodes:
-            if color[root] != WHITE:
-                continue
-            path = [root]
-            iters = [iter(sorted(self._children[root]))]
-            color[root] = GRAY
-            while path:
-                try:
-                    child = next(iters[-1])
-                except StopIteration:
-                    color[path.pop()] = BLACK
-                    iters.pop()
-                    continue
-                if color[child] == GRAY:
-                    return path[path.index(child):] + [child]
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    path.append(child)
-                    iters.append(iter(sorted(self._children[child])))
-        return None
+        # Kahn's algorithm: ``order`` is its FIFO queue; children go in sorted order
+        indeg = {n: len(self._parents[n]) for n in node_list}
+        order = [n for n in node_list if indeg[n] == 0]
+        for n in order:
+            for c in sorted(self._children[n]):
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    order.append(c)
+        if len(order) < len(node_list):
+            # every node left over has a parent left over: walk back to a repeat
+            n = next(n for n in node_list if indeg[n])
+            path, at = [], {}
+            while n not in at:
+                at[n] = len(path)
+                path.append(n)
+                n = min(p for p in self._parents[n] if indeg[p])
+            cycle = path[at[n]:] + [n]
+            raise ValidationError("graph has a directed cycle: " + " -> ".join(reversed(cycle)))
+        self._order = tuple(order)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -88,40 +79,26 @@ class Dag:
         self._require(v)
         return frozenset(self._children[v])
 
-    def descendants(self, v: str) -> frozenset[str]:
-        """Strict descendants of v (v itself excluded)."""
+    def _closure(self, v: str, step: dict[str, set[str]]) -> frozenset[str]:
         self._require(v)
         out, frontier = set(), [v]
         while frontier:
-            for c in self._children[frontier.pop()]:
+            for c in step[frontier.pop()]:
                 if c not in out:
                     out.add(c)
                     frontier.append(c)
         return frozenset(out)
 
+    def descendants(self, v: str) -> frozenset[str]:
+        """Strict descendants of v (v itself excluded)."""
+        return self._closure(v, self._children)
+
     def ancestors(self, v: str) -> frozenset[str]:
         """Strict ancestors of v (v itself excluded)."""
-        self._require(v)
-        out, frontier = set(), [v]
-        while frontier:
-            for p in self._parents[frontier.pop()]:
-                if p not in out:
-                    out.add(p)
-                    frontier.append(p)
-        return frozenset(out)
+        return self._closure(v, self._parents)
 
     def topological_order(self) -> list[str]:
-        indeg = {n: len(self._parents[n]) for n in self._nodes}
-        ready = [n for n in self._nodes if indeg[n] == 0]
-        order = []
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
-            for c in sorted(self._children[n]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        return order
+        return list(self._order)
 
     def without_edges(self, removed: Iterable[tuple[str, str]]) -> "Dag":
         removed = set(removed)

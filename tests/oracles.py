@@ -28,6 +28,22 @@ def random_dag(rng: np.random.Generator, d: int, p_edge: float = 0.4) -> Dag:
     return Dag(names, edges)
 
 
+def topological_order_fifo_kahn(g: Dag) -> list[str]:
+    """Kahn's algorithm with a FIFO queue seeded in node order, children in
+    sorted order: the order ``Dag.topological_order`` has always returned."""
+    indeg = {n: len(g.parents(n)) for n in g.nodes}
+    ready = [n for n in g.nodes if indeg[n] == 0]
+    order = []
+    while ready:
+        n = ready.pop(0)
+        order.append(n)
+        for c in sorted(g.children(n)):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+    return order
+
+
 def transitive_closure(g: Dag) -> dict:
     """Floyd-Warshall reachability over directed edges."""
     nodes = list(g.nodes)

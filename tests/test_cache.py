@@ -111,3 +111,65 @@ def test_rank_capped_factor_factors_the_cached_gram(monkeypatch):
         assert cache.factor(d, ("X",), narrow, ridge).rank is None
     cache.gram(d, d, ("X",), narrow)
     assert len(builds) == 1
+
+
+def count_builds(monkeypatch):
+    """Keys of the cache entries built from now on, in build order."""
+    built = []
+    real = GramCache._get_or_build
+
+    def counting(self, key, build):
+        def logged():
+            built.append(key)
+            return build()
+        return real(self, key, logged)
+
+    monkeypatch.setattr(GramCache, "_get_or_build", counting)
+    return built
+
+
+def test_a_factor_hit_builds_nothing(monkeypatch):
+    built = count_builds(monkeypatch)
+    d = sample_m1(3, 200, 403)
+    cache = GramCache(capacity=3)
+    first = cache.factor(d, ("Y", "X"), KernelConfig(1.0), 0.5)
+    assert len(built) == 3  # the Grams of Y and X, then the factor
+    assert cache.factor(d, ("Y", "X"), KernelConfig(1.0), 0.5) is first
+    assert len(built) == 3
+
+
+def test_only_single_variable_grams_are_cached():
+    d = sample_m1(3, 200, 404)
+    cache = GramCache()
+    kcfg = KernelConfig(1.0)
+    cache.factor(d, ("Y", "X"), kcfg, 0.5)
+    joint = cache.gram(d, d, ("Y", "X"), kcfg)
+    grams = sorted(k for k in cache._entries if k[0] == "gram")
+    assert grams == [("gram", d.id, d.id, v, 1.0) for v in ("X", "Y")]
+    product = cache.gram(d, d, ("Y",), kcfg) * cache.gram(d, d, ("X",), kcfg)
+    assert joint.tobytes() == product.tobytes()
+
+
+def test_nested_builds_under_threads_build_each_key_once(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    built = count_builds(monkeypatch)
+    d = sample_m1(3, 200, 405)
+    cache = GramCache(capacity=4)
+    kcfg = KernelConfig(1.0)
+    calls = [lambda: cache.factor(d, ("Y", "X"), kcfg, 0.5),
+             lambda: cache.factor(d, ("X", "Y"), kcfg, 0.5),
+             lambda: cache.gram(d, d, ("X", "Y"), kcfg)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(calls[k % 3]) for k in range(30)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(k[0] for k in built) == ["chol", "chol", "gram", "gram"]
+    assert all(r is results[0] for r in results[0::3])
+    assert all(r is results[1] for r in results[1::3])
+    assert all(np.array_equal(r, results[2]) for r in results[2::3])

@@ -218,15 +218,27 @@ def test_cache_builds_each_gram_once_under_threads(monkeypatch):
     assert all(r is results[0] for r in results)
 
 
-def test_cache_evicts_least_recently_used():
+def test_cache_evicts_least_recently_used(monkeypatch):
+    import scmdist.cache as cache_mod
+
+    builds = []
+    real = cache_mod.gram_entries
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "gram_entries", counting)
     d = sample_m1(3, 50, 91)
     cache = GramCache(capacity=2)
     kcfg = KernelConfig(0.5)
     first = cache.gram(d, d, ("X",), kcfg)
     cache.gram(d, d, ("Y",), kcfg)
-    cache.gram(d, d, ("X", "Y"), kcfg)  # evicts the oldest entry
+    cache.gram(d, d, ("X",), KernelConfig(0.25))  # evicts the oldest entry
+    assert len(builds) == 3
     again = cache.gram(d, d, ("X",), kcfg)
-    assert np.array_equal(first, again)
+    assert len(builds) == 4
+    assert again is not first and np.array_equal(first, again)
 
 
 def test_cache_hit_refreshes_recency(monkeypatch):

@@ -3,7 +3,13 @@ import pytest
 
 from scmdist import Dag, ValidationError, d_separated, sachs_expert_graph, sid
 
-from oracles import d_separated_bruteforce, random_dag, sid_bruteforce, transitive_closure
+from oracles import (
+    d_separated_bruteforce,
+    random_dag,
+    sid_bruteforce,
+    topological_order_fifo_kahn,
+    transitive_closure,
+)
 
 
 def chain():
@@ -137,6 +143,29 @@ def test_dag_rejects_cycle_with_sequence():
         Dag(["X", "Y"], [("X", "Y"), ("Y", "X")])
     assert "cycle" in str(err.value)
     assert "X" in str(err.value) and "Y" in str(err.value)
+
+
+def test_topological_order_is_fifo_kahn_with_every_edge_forward():
+    rng = np.random.default_rng(16)
+    graphs = [sachs_expert_graph(), chain()]
+    graphs += [random_dag(rng, int(rng.integers(1, 12)), p_edge=0.4) for _ in range(80)]
+    for g in graphs:
+        order = g.topological_order()
+        assert order == topological_order_fifo_kahn(g)
+        assert sorted(order) == sorted(g.nodes)
+        pos = {n: k for k, n in enumerate(order)}
+        assert all(pos[u] < pos[v] for u, v in g.edges)
+
+
+def test_dag_cycle_message_follows_edges():
+    edges = [("A", "B"), ("B", "C"), ("C", "D"), ("D", "B"), ("D", "E")]
+    # listed backwards, the walk starts at E, off the cycle
+    for nodes, expected in ((list("ABCDE"), list("BCDB")), (list("EDCBA"), list("DBCD"))):
+        with pytest.raises(ValidationError) as err:
+            Dag(nodes, edges)
+        cycle = str(err.value).split(": ", 1)[1].split(" -> ")
+        assert cycle == expected
+        assert all((u, v) in edges for u, v in zip(cycle, cycle[1:]))
 
 
 def test_dag_rejects_bad_edges():
