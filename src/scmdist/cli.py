@@ -14,8 +14,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
 from .dataset import Dataset
 from .distance import (
@@ -149,7 +147,9 @@ def _shared_bandwidth(datasets) -> KernelConfig:
         median_heuristic(d.column(v)).bandwidth_sq
         for d in datasets for v in d.variable_names
     ]
-    return KernelConfig(float(np.median(per_column)))
+    # np.median's value, bit for bit, without its import of numpy.ma
+    s, k = sorted(per_column), len(per_column) // 2
+    return KernelConfig(float(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2))
 
 
 def _estimator_config(args, datasets) -> EstimatorConfig:

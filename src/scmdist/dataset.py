@@ -60,9 +60,15 @@ class Dataset:
         return float(self.column(name).mean())
 
     def quantile(self, name: str, level: float) -> float:
+        """np.quantile's default linear interpolation, bit for bit, without numpy.ma."""
         if not 0.0 < level < 1.0:
             raise ValidationError(f"quantile level must be in (0, 1), got {level}")
-        return float(np.quantile(self.column(name), level))
+        b, v = np.sort(self.column(name)), (self.n - 1) * level
+        if v >= self.n - 1:
+            return float(b[-1])
+        lo = int(v)  # v >= 0, so this is floor(v)
+        g, d = v - lo, b[lo + 1] - b[lo]
+        return float(b[lo] + d * g if g < 0.5 else b[lo + 1] - d * (1 - g))
 
     def __len__(self):
         return self.n

@@ -21,8 +21,10 @@ when i has no parents, the ridge is positive and r <= N/4; otherwise it is
 a dense Cholesky factor of the Gram over (i, parents) (N^3/3 flops).
 For each target j the side's weight columns are stacked into an N x C
 matrix M, with the uniform marginal column wherever i does not reach j.
-Every pair term, for every combination of intervention values, is read off
-diag(M1' K1 M1) - 2 M1' K12 M2 + diag(M2' K2 M2).
+The squared pair terms are read off diag(M1' K1 M1) - 2 M1' K12 M2 +
+diag(M2' K2 M2) only at the combinations of intervention values a distance
+uses (one, or E-SCMD's quantile levels): one pairs x combinations array per
+couple of sides.
 
 The Grams of V_j within and across the datasets are blocks of one Gram over
 their concatenated samples, so one pivoted Cholesky factor L' (r x total N)
@@ -36,10 +38,9 @@ the N x N Gram with M per side and couple (about 2 N^2 C flops).  A
 pairwise matrix computes each environment's weights, projections and
 self-forms once for all its pairs.
 
-One reduction, :func:`_reduce`, serves every distance: it reads the pair
-terms at their combinations of intervention values (one, or E-SCMD's
-quantile levels), clamps to 0 a square at or above -1e-8 max(N1, N2)
-(below it raises NumericalError), and sums the roots with ``math.fsum``.
+One reduction, :func:`_reduce`, serves every distance: it clamps to 0 a
+square at or above -1e-8 max(N1, N2) (below it raises NumericalError) and
+sums the roots with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ __all__ = [
 ]
 
 DEFAULT_ESCMD_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
-# lower clip of the MMD kernel exponents; see mmd_vstat
+# lower clip of the MMD kernel exponents, and rows per block; see mmd_vstat
 EXP_FLOOR = -700.0
+MMD_BLOCK = 512
 # a squared distance below -CLAMP_PER_SAMPLE * max(N1, N2) is a numerical failure
 CLAMP_PER_SAMPLE = 1e-8
 
@@ -94,12 +96,6 @@ class InterventionSpec:
     def from_means(cls, data: Dataset) -> "InterventionSpec":
         """Each variable intervened at its own column mean."""
         return cls({v: data.mean(v) for v in data.variable_names}, origin="per-variable-mean")
-
-    @classmethod
-    def from_quantile(cls, data: Dataset, level: float) -> "InterventionSpec":
-        """Each variable intervened at its empirical quantile of ``level``."""
-        return cls({v: data.quantile(v, level) for v in data.variable_names},
-                   origin=f"quantile({level:g})")
 
     def value_for(self, name: str) -> float:
         if name not in self.values:
@@ -166,8 +162,8 @@ class _Side:
     ``values[i]`` lists the intervention values of V_i.  For every target j
     of ``terms``, ``stacks[j]`` is the N x C matrix of weight columns of its
     intervened variables, one per value (a single uniform marginal column
-    serves every i that does not reach j), with each variable's column
-    indices.
+    serves every i that does not reach j), with an integer array whose rows,
+    in the order of ``terms``, hold each intervened variable's column indices.
     """
 
     def __init__(self, g: Dag, data: Dataset, values: Mapping[str, Sequence[float]],
@@ -184,10 +180,10 @@ class _Side:
             sources.setdefault(j, []).append(i)
         self.stacks = {}
         for j, sources_j in sources.items():
-            blocks, cols, at, marginal_at = [], {}, 0, None
+            blocks, cols, at, marginal_at = [], [], 0, None
             for i in sources_j:
                 if j in descendants[i]:
-                    cols[i] = np.arange(at, at + width)
+                    cols.append(np.arange(at, at + width))
                     blocks.append(weights[i])
                     at += width
                 else:
@@ -195,8 +191,8 @@ class _Side:
                         marginal_at = at
                         blocks.append(marginal)
                         at += 1
-                    cols[i] = np.full(width, marginal_at)
-            self.stacks[j] = (np.hstack(blocks), cols)
+                    cols.append(np.full(width, marginal_at))
+            self.stacks[j] = (np.hstack(blocks), np.array(cols))
 
 
 def _map(fn, items, threads: int) -> list:
@@ -211,14 +207,18 @@ def _map(fn, items, threads: int) -> list:
 
 
 def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
-               cfg: EstimatorConfig, cache: GramCache, threads: int = 1) -> list[dict]:
-    """Squared pair-term distances for every couple of sides.
+               pairs: Sequence[tuple[str, str]], combos, cfg: EstimatorConfig,
+               cache: GramCache, threads: int = 1) -> list[np.ndarray]:
+    """Squared pair-term distances of every couple of sides, pairs x combinations.
 
-    ``couples`` index into ``sides``, each in canonical dataset-id order.  For
-    each couple the result maps (i, j) to an array whose entry [a, b] is the
-    squared distance between do(V_i = a-th value) on the first side and
-    do(V_i = b-th value) on the second, measured on V_j.
+    ``couples`` index into ``sides``, each in canonical dataset-id order, and
+    the sides' terms are ``pairs``.  Entry [p, k] is the squared distance
+    between do(V_i = first[k]-th value) on the first side and do(V_i =
+    second[k]-th value) on the second, measured on V_j, with (i, j) = pairs[p]
+    and (first, second) = ``combos``.
     """
+    first, second = combos
+    out = [np.empty((len(pairs), len(first))) for _ in couples]
     used = sorted(range(len(sides)), key=lambda s: sides[s].data.id)
 
     def per_target(j):
@@ -246,19 +246,13 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
                 return _forms(stacks[a], k @ stacks[b])
 
         norms = {s: np.diagonal(form(s, s)) for s in used}
-        out = []
-        for a, b in couples:
-            c1, c2 = sides[a].stacks[j][1], sides[b].stacks[j][1]
-            cross = form(a, b)
-            out.append({(i, j): norms[a][c1[i]][:, None] - 2.0 * cross[np.ix_(c1[i], c2[i])]
-                        + norms[b][c2[i]][None, :] for i in c1})
-        return out
+        at_j = [p for p, (_, t) in enumerate(pairs) if t == j]
+        for sq, (a, b) in zip(out, couples):
+            r, c = sides[a].stacks[j][1][:, first], sides[b].stacks[j][1][:, second]
+            sq[at_j] = norms[a][r] - 2.0 * form(a, b)[r, c] + norms[b][c]
 
-    tables = [{} for _ in couples]
-    for per_couple in _map(per_target, list(sides[0].stacks), threads):
-        for table, part in zip(tables, per_couple):
-            table.update(part)
-    return tables
+    _map(per_target, list(sides[0].stacks), threads)
+    return out
 
 
 def _reduce(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
@@ -266,16 +260,14 @@ def _reduce(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
             combos=([0], [0]), threads: int = 1) -> list[tuple[float, dict]]:
     """(distance, pair terms) of every couple of sides.
 
-    ``combos`` holds the row (first side) and column (second side) indices
-    into the :func:`_sq_tables` tables of the combinations of intervention
-    values; each pair term, and the distance, is the mean over them."""
-    rows, cols = (np.asarray(c, dtype=np.intp) for c in combos)
-    count = len(rows)
+    ``combos`` holds the value indices on the first and on the second side of
+    the combinations of intervention values (see :func:`_sq_tables`); each
+    pair term, and the distance, is the mean over them."""
+    count = len(combos[0])
     out = []
-    for (a, b), table in zip(couples, _sq_tables(sides, couples, cfg, cache, threads)):
+    squares = _sq_tables(sides, couples, pairs, combos, cfg, cache, threads)
+    for (a, b), sq in zip(couples, squares):
         clamp = CLAMP_PER_SAMPLE * max(sides[a].data.n, sides[b].data.n)
-        # pairs x combinations, so the check and the roots are one pass each
-        sq = np.array([table[p][rows, cols] for p in pairs]).reshape(len(pairs), count)
         worst = sq.min(axis=1)
         bad = np.flatnonzero(worst < -clamp)
         if bad.size:
@@ -415,7 +407,7 @@ def e_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
     )
 
 
-def mmd_vstat(d1: Dataset, d2: Dataset, kcfg: KernelConfig, block: int = 512) -> float:
+def mmd_vstat(d1: Dataset, d2: Dataset, kcfg: KernelConfig) -> float:
     """Biased V-statistic estimate of the joint-distribution MMD.
 
     The joint kernel over all shared variables is the product of per-variable
@@ -430,14 +422,12 @@ def mmd_vstat(d1: Dataset, d2: Dataset, kcfg: KernelConfig, block: int = 512) ->
     subnormal or underflow to 0 cost 15 to 100 times as much per element);
     it raises each kernel value by at most e^-700 (about 1e-304).  Each self
     term sums one triangle of row blocks and doubles the off-diagonal part.
-    Rows are taken ``block`` at a time, so memory stays O(block * N).  The
+    Rows are taken MMD_BLOCK at a time, so memory stays O(MMD_BLOCK * N).  The
     datasets are taken in dataset-id order, so swapping them leaves the
     result unchanged bit for bit.
     """
     if set(d1.variable_names) != set(d2.variable_names):
         raise ValidationError("datasets must share the same variable names")
-    if block < 1:
-        raise ValidationError(f"block must be >= 1, got {block}")
     _, d1, _, _, d2, _ = _canonical_order(None, d1, None, None, d2, None)
     names = sorted(d1.variable_names)
     a = np.column_stack([d1.column(v) for v in names])
@@ -458,13 +448,14 @@ def mmd_vstat(d1: Dataset, d2: Dataset, kcfg: KernelConfig, block: int = 512) ->
 
     def self_total(left, right):
         s = 0.0
-        for lo in range(0, left.shape[0], block):
-            hi = lo + block
+        for lo in range(0, left.shape[0], MMD_BLOCK):
+            hi = lo + MMD_BLOCK
             s += kernel_sum(left[lo:hi], right[lo:hi]) + 2.0 * kernel_sum(left[lo:hi], right[hi:])
         return s
 
     def cross_total(left, right):
-        return sum(kernel_sum(left[lo:lo + block], right) for lo in range(0, left.shape[0], block))
+        return sum(kernel_sum(left[lo:lo + MMD_BLOCK], right)
+                   for lo in range(0, left.shape[0], MMD_BLOCK))
 
     (la, ra), (lb, rb) = factors(a), factors(b)
     n1, n2 = a.shape[0], b.shape[0]

@@ -9,8 +9,9 @@ import pytest
 
 import scmdist
 
-from scmdist import NumericalError, load_dataset, sample_m1, sample_m2, save_dataset, save_graph
-from scmdist.cli import main
+from scmdist import (Dataset, NumericalError, load_dataset, median_heuristic, sample_m1,
+                     sample_m2, save_dataset, save_graph)
+from scmdist.cli import _shared_bandwidth, main
 from scmdist.graph import Dag
 
 
@@ -191,6 +192,32 @@ def test_median_heuristic_default_bandwidth(tmp_path, fwd_graph, capsys):
     assert main(["mmd", "--data1", p1, "--data2", p3]) == 0
     err = capsys.readouterr().err
     assert "median-heuristic" in err
+
+
+def test_shared_bandwidth_matches_numpy_median_bit_for_bit():
+    rng = np.random.default_rng(32)
+    base = rng.normal(size=50)
+    for count in range(1, 8):
+        for _ in range(30):
+            # drawn from four scales, so columns often tie
+            scales = rng.choice(rng.uniform(0.1, 10.0, size=4), size=count)
+            d = Dataset({f"V{k}": s * base for k, s in enumerate(scales)})
+            expect = np.median([median_heuristic(d.column(v)).bandwidth_sq
+                                for v in d.variable_names])
+            assert _shared_bandwidth([d]).bandwidth_sq.hex() == float(expect).hex()
+
+
+def test_escmd_with_median_heuristic_leaves_numpy_ma_unloaded(tmp_path, fwd_graph, rev_graph):
+    p1, p3 = write_samples(tmp_path)
+    src = str(Path(scmdist.__file__).resolve().parents[1])
+    argv = ["escmd", "--data1", p1, "--data2", p3, "--graph1", fwd_graph, "--graph2", rev_graph]
+    code = (f"import sys; from scmdist.cli import main; status = main({argv!r}); "
+            "print(status, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert "median-heuristic" in proc.stderr
+    # np.quantile and np.median would each import numpy.ma (about 14 ms)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_pairwise_csv_symmetric(tmp_path, fwd_graph, capsys):

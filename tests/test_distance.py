@@ -122,9 +122,7 @@ def test_e_scmd_single_median_level_reduces_to_scmd():
     d3 = sample_m2(3, 300, 18)
     cache = GramCache()
     r = e_scmd(FWD, d1, REV, d3, [0.5], CFG, cache=cache)
-    direct = scmd(FWD, d1, REV, d3,
-                  InterventionSpec.from_quantile(d1, 0.5),
-                  InterventionSpec.from_quantile(d3, 0.5), CFG, cache)
+    direct = scmd(FWD, d1, REV, d3, _quantiles(d1, 0.5), _quantiles(d3, 0.5), CFG, cache)
     assert r.value == direct.value
 
 
@@ -155,8 +153,6 @@ def test_intervention_spec_helpers():
     means = InterventionSpec.from_means(d)
     assert means.origin == "per-variable-mean"
     assert means.value_for("X") == pytest.approx(d.column("X").mean())
-    q = InterventionSpec.from_quantile(d, 0.25)
-    assert q.origin == "quantile(0.25)"
     with pytest.raises(ValidationError):
         InterventionSpec({"X": np.nan})
     with pytest.raises(ValidationError):
@@ -184,7 +180,9 @@ def _cross_exponents(d1, d2, bandwidth_sq):
     return -((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2) / (2.0 * bandwidth_sq)
 
 
-def test_mmd_vstat_blocked_matches_naive():
+def test_mmd_vstat_blocked_matches_naive(monkeypatch):
+    import scmdist.distance as dist_mod
+
     g = sachs_expert_graph()
     rng = np.random.default_rng(27)
     sachs = []
@@ -205,7 +203,8 @@ def test_mmd_vstat_blocked_matches_naive():
         expect = mmd_vstat_naive(_joint_samples(e1), _joint_samples(e2), bandwidth_sq)
         # blocks that divide neither size, single rows, and one block per sample
         for block in (64, 1, 512):
-            got = mmd_vstat(e1, e2, KernelConfig(bandwidth_sq), block=block)
+            monkeypatch.setattr(dist_mod, "MMD_BLOCK", block)
+            got = mmd_vstat(e1, e2, KernelConfig(bandwidth_sq))
             assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -305,13 +304,13 @@ def test_mimd_large_negative_square_raises(monkeypatch):
     d2 = sample_m1(5, 50, 47)
     real = dist_mod._sq_tables
 
-    def last_first_negative(*args, **kwargs):
+    def last_first_negative(sides, couples, pairs, combos, *args):
         # the combination (last value on side 1, first value on side 2)
-        tables = real(*args, **kwargs)
-        for table in tables:
-            for sq in table.values():
-                sq[-1, 0] = -1.0
-        return tables
+        first, second = (np.asarray(c) for c in combos)
+        squares = real(sides, couples, pairs, combos, *args)
+        for sq in squares:
+            sq[:, (first == first.max()) & (second == 0)] = -1.0
+        return squares
 
     monkeypatch.setattr(dist_mod, "_sq_tables", last_first_negative)
     with pytest.raises(NumericalError) as err:
@@ -333,12 +332,12 @@ def test_negative_square_clamp_is_1e_8_times_the_larger_sample(monkeypatch, scal
     real = dist_mod._sq_tables
 
     def patch(entry):
-        def last_first_set(*args, **kwargs):
-            tables = real(*args, **kwargs)
-            for table in tables:
-                for sq in table.values():
-                    sq[-1, 0] = entry
-            return tables
+        def last_first_set(sides, couples, pairs, combos, *args):
+            first, second = (np.asarray(c) for c in combos)
+            squares = real(sides, couples, pairs, combos, *args)
+            for sq in squares:
+                sq[:, (first == first.max()) & (second == 0)] = entry
+            return squares
 
         monkeypatch.setattr(dist_mod, "_sq_tables", last_first_set)
 

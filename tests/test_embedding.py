@@ -117,7 +117,7 @@ def _side_column(g, d, i, j, v, cfg):
     """The planner's weight column of do(V_i = v) on V_j for one side."""
     values = {name: [v] for name in d.variable_names}
     stack, cols = _Side(g, d, values, [(i, j)], cfg, GramCache()).stacks[j]
-    return stack[:, cols[i][0]]
+    return stack[:, cols[0, 0]]
 
 
 def test_omega_dispatch_matches_graph_cases():

@@ -141,6 +141,20 @@ def test_matrix_csv_symmetric_under_transpose(tmp_path):
     assert np.array_equal(body, values)
 
 
+def test_dataset_quantile_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(31)
+    columns = [rng.normal(size=n) for n in (1, 2, 3, 10, 257)]
+    # ties, and values whose differences are small against their size
+    columns += [rng.integers(0, 3, size=n).astype(float) for n in (1, 2, 7, 100)]
+    columns += [1e8 + rng.normal(size=n) for n in (2, 9, 500)]
+    levels = [1e-12, 1.0 - 1e-12, 0.25, 0.5, 0.75, *np.linspace(0.01, 0.99, 99),
+              *rng.uniform(size=200)]
+    for x in columns:
+        d = Dataset({"X": x})
+        for q in levels:
+            assert d.quantile("X", q).hex() == float(np.quantile(x, q)).hex(), (x.size, q)
+
+
 def test_dataset_validation():
     with pytest.raises(ValidationError):
         Dataset({"X": [1.0], "Y": [1.0, 2.0]})
