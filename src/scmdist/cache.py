@@ -22,10 +22,11 @@ side.  Joint Grams over several variables, a zero ridge (the Woodbury
 identity divides by it), and Grams whose rank would exceed N/4 keep the
 dense Gram and its N^3/3 Cholesky factorization.
 
-Lookups and construction are serialized by one re-entrant lock per cache,
-so each key is built once and every hit refreshes its entry's recency; an
-entry's build looks up its own inputs, so a hit touches no other entry.
-Entries are evicted least-recently-used.
+The package itself runs serially.  Lookups and construction are still
+serialized by one re-entrant lock per cache, so a cache shared across the
+caller's own threads builds each key once and every hit refreshes its
+entry's recency; an entry's build looks up its own inputs, so a hit touches
+no other entry.  Entries are evicted least-recently-used.
 
 Dataset identity is the dataset ``id`` string: within one cache lifetime an
 id must always refer to the same object (enforced), so cached entries can

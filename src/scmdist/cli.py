@@ -9,7 +9,6 @@ JSON/CSV; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -113,10 +112,6 @@ def build_parser() -> _Parser:
     p.add_argument("--intervene", action="append", default=[], metavar="ENV:NAME=VALUE",
                    help="user-policy intervention value for one environment (repeatable)")
     _add_estimator_options(p)
-    # a string default is converted by ``type`` during parsing, so a bad
-    # $SCMDIST_THREADS is a usage error of the pairwise command only
-    p.add_argument("--threads", type=int, default=os.environ.get("SCMDIST_THREADS", "1"),
-                   help="worker threads over environments and targets (default $SCMDIST_THREADS or 1)")
 
     p = sub.add_parser("synth", help="sample a linear-Gaussian SCM to CSV")
     p.add_argument("--model", choices=("m1", "m2", "scm"), required=True,
@@ -247,7 +242,7 @@ def _run_pairwise(args) -> int:
     matrix = pairwise_matrix(
         envs, g, args.metric, cfg,
         intervention_policy="per-variable-mean" if args.policy == "mean" else "user",
-        interventions=interventions, threads=max(1, args.threads))
+        interventions=interventions)
     _emit(matrix, args)
     return 0
 

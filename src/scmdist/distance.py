@@ -195,20 +195,9 @@ class _Side:
             self.stacks[j] = (np.hstack(blocks), np.array(cols))
 
 
-def _map(fn, items, threads: int) -> list:
-    if threads > 1:
-        # imported here: concurrent.futures (and the logging it loads) would
-        # cost every single-threaded CLI process about 9 ms
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
                pairs: Sequence[tuple[str, str]], combos, cfg: EstimatorConfig,
-               cache: GramCache, threads: int = 1) -> list[np.ndarray]:
+               cache: GramCache) -> list[np.ndarray]:
     """Squared pair-term distances of every couple of sides, pairs x combinations.
 
     ``couples`` index into ``sides``, each in canonical dataset-id order, and
@@ -221,7 +210,7 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
     out = [np.empty((len(pairs), len(first))) for _ in couples]
     used = sorted(range(len(sides)), key=lambda s: sides[s].data.id)
 
-    def per_target(j):
+    for j in sides[0].stacks:
         # one block of L' per distinct sample column of V_j, so that sides
         # with equal samples get equal projections
         owners, block = [], {}
@@ -250,14 +239,12 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
         for sq, (a, b) in zip(out, couples):
             r, c = sides[a].stacks[j][1][:, first], sides[b].stacks[j][1][:, second]
             sq[at_j] = norms[a][r] - 2.0 * form(a, b)[r, c] + norms[b][c]
-
-    _map(per_target, list(sides[0].stacks), threads)
     return out
 
 
 def _reduce(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
             pairs: Sequence[tuple[str, str]], cfg: EstimatorConfig, cache: GramCache,
-            combos=([0], [0]), threads: int = 1) -> list[tuple[float, dict]]:
+            combos=([0], [0])) -> list[tuple[float, dict]]:
     """(distance, pair terms) of every couple of sides.
 
     ``combos`` holds the value indices on the first and on the second side of
@@ -265,7 +252,7 @@ def _reduce(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
     pair term, and the distance, is the mean over them."""
     count = len(combos[0])
     out = []
-    squares = _sq_tables(sides, couples, pairs, combos, cfg, cache, threads)
+    squares = _sq_tables(sides, couples, pairs, combos, cfg, cache)
     for (a, b), sq in zip(couples, squares):
         clamp = CLAMP_PER_SAMPLE * max(sides[a].data.n, sides[b].data.n)
         worst = sq.min(axis=1)
@@ -477,8 +464,8 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
     ``interventions`` mapping (environment id -> variable -> value) is used.
     Each unordered pair is computed once and mirrored.  For "scmd" each
     environment's weights and self-forms are computed once and shared by all
-    its pairs; ``threads`` workers run over environments, then over target
-    variables (over pairs for "mmd"), and give the same matrix for any count.
+    its pairs.  Evaluation is serial: ``threads`` accepts only 1.  A
+    ``cache`` passed in may be shared with the caller's own threads.
     """
     envs = list(envs)
     if len(envs) < 2:
@@ -490,6 +477,8 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
         raise ValidationError(f"metric must be 'scmd' or 'mmd', got {metric!r}")
     if intervention_policy not in ("per-variable-mean", "user"):
         raise ValidationError(f"unknown intervention policy {intervention_policy!r}")
+    if threads != 1:
+        raise ValidationError(f"evaluation is serial: threads must be 1, got {threads!r}")
 
     specs = {}
     if metric == "scmd":
@@ -504,22 +493,23 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
                     raise ValidationError(
                         f"policy 'user' needs intervention values for environment {e.id!r}")
                 specs[e.id] = InterventionSpec(interventions[e.id])
+        unknown = sorted(set(interventions or ()) - set(ids))
+        if intervention_policy == "user" and unknown:
+            raise ValidationError(f"interventions name unknown environments {unknown}")
 
     pair_index = [(r, c) for r in range(len(envs)) for c in range(r + 1, len(envs))]
     reports = {}
     if metric == "mmd":
-        results = _map(lambda rc: mmd_vstat(envs[rc[0]], envs[rc[1]], cfg.kernel),
-                       pair_index, threads)
+        results = [mmd_vstat(envs[r], envs[c], cfg.kernel) for r, c in pair_index]
     else:
         cache = cache or GramCache(capacity=max(12, 4 * len(envs)))
         names = sorted(g.nodes)
         pairs = [(i, j) for i in names for j in names if i != j]
-        sides = _map(lambda e: _Side(g, e, {i: [specs[e.id].value_for(i)] for i in names},
-                                     pairs, cfg, cache), envs, threads)
+        sides = [_Side(g, e, {i: [specs[e.id].value_for(i)] for i in names}, pairs, cfg, cache)
+                 for e in envs]
         # each pair's cross-forms in canonical dataset-id order, as scmd does
         couples = [(r, c) if ids[r] < ids[c] else (c, r) for r, c in pair_index]
-        for (r, c), result in zip(pair_index, _reduce(sides, couples, pairs, cfg, cache,
-                                                      threads=threads)):
+        for (r, c), result in zip(pair_index, _reduce(sides, couples, pairs, cfg, cache)):
             reports[(ids[r], ids[c])] = _point_report(
                 "scmd", result, (ids[r], ids[c]), specs[ids[r]], specs[ids[c]], cfg)
         results = [report.value for report in reports.values()]

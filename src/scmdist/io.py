@@ -18,6 +18,7 @@ import csv
 import json
 import math
 from importlib import resources
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -189,17 +190,19 @@ def render_report(result: DistanceReport | PairwiseMatrix, format: str = "json")
         payload = (matrix_to_dict(result) if isinstance(result, PairwiseMatrix)
                    else report_to_dict(result))
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    lines = []
+    # csv.writer quotes a field holding a comma, a quote or a line break
+    out = StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     if isinstance(result, PairwiseMatrix):
-        lines.append(",".join(["id"] + list(result.ids)))
+        writer.writerow(["id", *result.ids])
         for label, row in zip(result.ids, result.values):
-            lines.append(",".join([label] + [repr(float(v)) for v in row]))
+            writer.writerow([label] + [repr(float(v)) for v in row])
     else:
-        lines.append("term,value")
-        lines.append(f"{result.kind},{result.value!r}")
+        writer.writerow(["term", "value"])
+        writer.writerow([result.kind, repr(float(result.value))])
         for (i, j), v in sorted(result.pair_terms.items()):
-            lines.append(f"{_pair_key(i, j)},{v!r}")
-    return "\n".join(lines) + "\n"
+            writer.writerow([_pair_key(i, j), repr(float(v))])
+    return out.getvalue()
 
 
 def write_report(result: DistanceReport | PairwiseMatrix, path, format: str = "json") -> None:

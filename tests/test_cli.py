@@ -9,8 +9,9 @@ import pytest
 
 import scmdist
 
-from scmdist import (Dataset, NumericalError, load_dataset, median_heuristic, sample_m1,
-                     sample_m2, save_dataset, save_graph)
+from scmdist import (Dataset, EstimatorConfig, KernelConfig, NumericalError, load_dataset,
+                     load_graph, median_heuristic, pairwise_matrix, sample_m1, sample_m2,
+                     save_dataset, save_graph)
 from scmdist.cli import _shared_bandwidth, main
 from scmdist.graph import Dag
 
@@ -51,17 +52,6 @@ def test_sid_reversed_graphs(fwd_graph, rev_graph, capsys):
 def test_usage_error_exit_code_1():
     assert main(["scmd", "--data1", "only-one-side.csv"]) == 1
     assert main(["frobnicate"]) == 1
-
-
-def test_bad_threads_environment_is_a_usage_error(tmp_path, fwd_graph, monkeypatch, capsys):
-    monkeypatch.setenv("SCMDIST_THREADS", "two")
-    # only the pairwise command reads the variable
-    assert main(["sid", fwd_graph, fwd_graph]) == 0
-    assert capsys.readouterr().out.strip() == "0"
-    p1, p3 = write_samples(tmp_path)
-    assert main(["pairwise", "--data", p1, p3, "--graph", fwd_graph, "--metric", "scmd",
-                 "--sigma-sq", "0.1"]) == 1
-    assert "usage error" in capsys.readouterr().err
 
 
 def test_bad_escmd_levels_is_a_usage_error(tmp_path, fwd_graph, capsys):
@@ -230,14 +220,30 @@ def test_pairwise_csv_symmetric(tmp_path, fwd_graph, capsys):
     argv = ["pairwise", "--data", *paths, "--graph", fwd_graph, "--metric", "scmd",
             "--sigma-sq", "0.1", "--format", "csv"]
     assert main(argv) == 0
-    out1 = capsys.readouterr().out
-    rows = [line.split(",") for line in out1.strip().splitlines()]
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()]
     body = np.array([[float(c) for c in row[1:]] for row in rows[1:]])
     assert np.array_equal(body, body.T)
     assert np.all(np.diag(body) == 0)
-    # thread count must not change the numbers
-    assert main(argv + ["--threads", "3"]) == 0
-    assert capsys.readouterr().out == out1
+
+
+def test_pairwise_user_policy_matches_the_library(tmp_path, fwd_graph, capsys):
+    p1, p3 = write_samples(tmp_path)
+    argv = ["pairwise", "--data", p1, p3, "--graph", fwd_graph, "--metric", "scmd",
+            "--sigma-sq", "0.1", "--policy", "user"]
+    values = {"d1": {"X": 1.0, "Y": 0.5}, "d3": {"X": -0.5, "Y": 2.0}}
+    intervene = [a for env, vals in values.items() for name, v in vals.items()
+                 for a in ("--intervene", f"{env}:{name}={v!r}")]
+    assert main(argv + intervene) == 0
+    m = pairwise_matrix([load_dataset(p1), load_dataset(p3)], load_graph(fwd_graph), "scmd",
+                        EstimatorConfig(KernelConfig(0.1), 0.5), intervention_policy="user",
+                        interventions=values)
+    got = json.loads(capsys.readouterr().out)["values"]
+    assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row]
+                                                       for row in m.values.tolist()]
+    assert main(argv + ["--intervene", "X=1"]) == 1
+    assert "expected ENV:NAME=VALUE" in capsys.readouterr().err
+    assert main(argv + intervene + ["--intervene", "d2:X=1"]) == 2
+    assert "unknown environments ['d2']" in capsys.readouterr().err
 
 
 def test_cost_guardrail_warns(tmp_path, fwd_graph, capsys):
@@ -266,7 +272,8 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120, check=True)
     # scipy loads only with the dense Cholesky path, which importing does not
-    # take, and the thread pool only for threads > 1
+    # take; concurrent.futures (with the logging it loads) would cost every
+    # CLI process about 9 ms
     assert proc.stdout.strip() == "False [] False"
 
 
@@ -323,8 +330,15 @@ def test_pairwise_help_documents_the_shared_options(capsys):
         assert help_text in text
 
 
-@pytest.mark.parametrize("command", ["scmd", "pscmd", "escmd", "mmd", "pairwise"])
-def test_jitter_flag_is_a_usage_error(tmp_path, fwd_graph, command, capsys):
+@pytest.mark.parametrize("command, removed", [
+    ("scmd", ["--jitter", "1e-10"]),
+    ("pscmd", ["--jitter", "1e-10"]),
+    ("escmd", ["--jitter", "1e-10"]),
+    ("mmd", ["--jitter", "1e-10"]),
+    ("pairwise", ["--jitter", "1e-10"]),
+    ("pairwise", ["--threads", "2"]),
+], ids=["scmd", "pscmd", "escmd", "mmd", "pairwise", "pairwise-threads"])
+def test_jitter_flag_is_a_usage_error(tmp_path, fwd_graph, command, removed, capsys):
     p1, p3 = write_samples(tmp_path)
     pair = ["--data1", p1, "--data2", p3]
     graphs = ["--graph1", fwd_graph, "--graph2", fwd_graph]
@@ -337,5 +351,5 @@ def test_jitter_flag_is_a_usage_error(tmp_path, fwd_graph, command, capsys):
     }[command]]
     assert main(argv) == 0
     capsys.readouterr()
-    assert main(argv + ["--jitter", "1e-10"]) == 1
-    assert "unrecognized arguments: --jitter" in capsys.readouterr().err
+    assert main(argv + removed) == 1
+    assert f"unrecognized arguments: {removed[0]}" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -139,6 +141,22 @@ def test_matrix_csv_symmetric_under_transpose(tmp_path):
     body = np.array([[float(c) for c in row[1:]] for row in lines[1:]])
     assert np.array_equal(body, body.T)
     assert np.array_equal(body, values)
+
+
+def test_csv_reports_quote_names_that_hold_a_comma():
+    ids = ("env,1", "env2", 'env"3')
+    values = np.array([[0.0, 1.5, 2.0], [1.5, 0.0, 0.25], [2.0, 0.25, 0.0]])
+    rows = list(csv.reader(io.StringIO(render_report(
+        PairwiseMatrix(ids=ids, values=values, metric="scmd"), "csv"))))
+    assert [len(row) for row in rows] == [4, 4, 4, 4]
+    assert rows[0] == ["id", *ids] and [row[0] for row in rows[1:]] == list(ids)
+    assert np.array_equal([[float(c) for c in row[1:]] for row in rows[1:]], values)
+    # numpy floats print as plain numbers too
+    report = DistanceReport(value=np.float64(0.5),
+                            pair_terms={("a,b", "c"): 0.25, ("c", "a,b"): np.float64(0.25)},
+                            dataset_ids=ids[:2], kind="scmd")
+    rows = list(csv.reader(io.StringIO(render_report(report, "csv"))))
+    assert rows == [["term", "value"], ["scmd", "0.5"], ["a,b->c", "0.25"], ["c->a,b", "0.25"]]
 
 
 def test_dataset_quantile_matches_numpy_bit_for_bit():
