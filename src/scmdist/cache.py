@@ -1,32 +1,22 @@
-"""Memoized Gram matrices, low-rank Gram factors and Cholesky factors.
+"""Memoized low-rank Gram factors, and dense Cholesky factors.
 
-Gram construction is the dominant repeated cost when the same dataset and
-variables are queried at many intervention values or across many variable
-pairs.  A :class:`GramCache` keys the Gram of one variable by (row dataset,
-column dataset, variable, bandwidth), low-rank rows by (datasets, variable,
-bandwidth) and Cholesky factors by (dataset, variable tuple, bandwidth,
-total ridge); every factor adds the fixed jitter JITTER_FLOOR.  A Gram over
-several variables, the product of the cached ones, is formed per call.
-
-The Gaussian Gram of one variable is numerically low-rank.  An adaptive
-pivoted Cholesky factorization (Harbrecht, Peters & Schneider 2012) gives
-L (N x r) with L L' equal to the Gram up to a largest residual diagonal of
-1e-13; it builds each pivot's Gram row from the samples, in about N r^2
-flops and 8 N r bytes, and never forms the N x N Gram.
+The Gaussian Gram of one variable is numerically low-rank: pivoted Cholesky
+(Harbrecht, Peters & Schneider 2012) gives L (N x r) with L L' equal to it
+up to a residual diagonal of 1e-13, in about N r^2 flops and 8 N r bytes.
 :meth:`GramCache.rows` caches these rows over the concatenated samples of
-one or more datasets: the distances take their quadratic and cross forms
-from them, and with a positive ridge a single variable's factor takes the
-rows of its one dataset, shared by every ridge, and is solved through the
-Woodbury identity (Fine & Scheinberg 2001): 4 N r flops per right-hand
-side.  Joint Grams over several variables, a zero ridge (the Woodbury
-identity divides by it), and Grams whose rank would exceed N/4 keep the
-dense Gram and its N^3/3 Cholesky factorization.
+one or more datasets, for the distances' quadratic and cross forms.  With a
+positive ridge, a single variable's cached factor takes the rows of its one
+dataset, shared by every ridge, and solves through the Woodbury identity
+(Fine & Scheinberg 2001) in 4 N r flops per right-hand side.  Joint Grams
+over several variables, a zero ridge (the Woodbury identity divides by it)
+and ranks above N/4 take a dense N^3/3 Cholesky factor of the entrywise
+product of per-variable Grams, built by :func:`_dense_factor` and never
+cached: no N x N array is a cache entry.  Every factor adds JITTER_FLOOR.
 
 The package itself runs serially.  Lookups and construction are still
 serialized by one re-entrant lock per cache, so a cache shared across the
 caller's own threads builds each key once and every hit refreshes its
-entry's recency; an entry's build looks up its own inputs, so a hit touches
-no other entry.  Entries are evicted least-recently-used.
+entry's recency.  Entries are evicted least-recently-used.
 
 Dataset identity is the dataset ``id`` string: within one cache lifetime an
 id must always refer to the same object (enforced), so cached entries can
@@ -91,8 +81,9 @@ class CholFactor:
     With ``low_rank`` (which needs ridge + jitter > 0), ``matrix`` is the
     r x N rows L' of a low-rank factor L L' of the Gram, solves go through
     the Woodbury identity, and ``rank`` is r.  Otherwise ``matrix`` is the
-    Gram itself, factored by a dense Cholesky factorization whose jitter
-    escalates on failure, and ``rank`` is None.
+    symmetric Gram itself, which the factor takes over: the ridge is added
+    to its diagonal and it is factored in place by a dense Cholesky
+    factorization whose jitter escalates on failure, and ``rank`` is None.
     """
 
     def __init__(self, matrix: np.ndarray, ridge: float, jitter: float, label: str,
@@ -111,12 +102,14 @@ class CholFactor:
         # scipy is loaded only by the dense path, which not every run takes
         from scipy.linalg import cho_factor
 
+        diagonal = matrix.diagonal().copy()
         while True:
-            # a Fortran-ordered copy, which LAPACK factors in place
-            m = np.array(matrix, order="F")
-            m[np.diag_indices_from(m)] += ridge + jit
+            matrix[np.diag_indices_from(matrix)] = diagonal + (ridge + jit)
             try:
-                self._factor = cho_factor(m, lower=True, overwrite_a=True, check_finite=False)
+                # matrix.T is the symmetric matrix in Fortran order: LAPACK
+                # factors it in place, over matrix's upper triangle
+                self._factor = cho_factor(matrix.T, lower=True, overwrite_a=True,
+                                          check_finite=False)
                 self.jitter_used = jit
                 return
             except LinAlgError:
@@ -127,6 +120,8 @@ class CholFactor:
                         f"(ridge_lambda={ridge:g}, jitter escalated to {jit:g})"
                     ) from None
                 jit = nxt
+                for k in range(matrix.shape[0]):  # restore the upper triangle
+                    matrix[k, k + 1:] = matrix[k + 1:, k]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.rank is None:
@@ -138,8 +133,24 @@ class CholFactor:
         return (rhs - rows.T @ np.linalg.solve(core, rows @ rhs)) / lam
 
 
+def _hadamard(grams: Sequence[np.ndarray]) -> np.ndarray:
+    """Entrywise product of Grams in order: a new array, or the one Gram."""
+    out = grams[0] if len(grams) == 1 else grams[0] * grams[1]
+    for g in grams[2:]:
+        out *= g
+    return out
+
+
+def _dense_factor(data: Dataset, variables: tuple[str, ...], grams: Sequence[np.ndarray],
+                  ridge: float) -> CholFactor:
+    """Factor of the product of ``grams``, the Grams of ``variables``, plus
+    ridge: it takes the product (or a single Gram) over and factors it in place."""
+    return CholFactor(_hadamard(grams), ridge, JITTER_FLOOR,
+                      f"variables {list(variables)!r} of dataset {data.id!r}")
+
+
 class GramCache:
-    """LRU cache of Gram matrices, low-rank rows and factors over registered datasets."""
+    """LRU cache of low-rank rows and low-rank factors over registered datasets."""
 
     def __init__(self, capacity: int = 12):
         if capacity < 1:
@@ -173,28 +184,6 @@ class GramCache:
                 self._entries.popitem(last=False)
             return entry
 
-    def gram(self, row: Dataset, col: Dataset, variables: tuple[str, ...],
-             kcfg: KernelConfig) -> np.ndarray:
-        """Hadamard-product Gram over ``variables`` between two datasets: the
-        cached (read-only) Gram for one variable, a new array for several."""
-        if not variables:
-            raise ValidationError("need at least one variable for a Gram matrix")
-        self._register(row, col)
-
-        def build(v):
-            out = gram_entries(row.column(v), col.column(v), kcfg)
-            out.setflags(write=False)
-            return out
-
-        grams = [self._get_or_build(("gram", row.id, col.id, v, kcfg.bandwidth_sq),
-                                    lambda v=v: build(v)) for v in variables]
-        if len(grams) == 1:
-            return grams[0]
-        out = grams[0] * grams[1]
-        for g in grams[2:]:
-            out *= g
-        return out
-
     def rows(self, datasets: Sequence[Dataset], variable: str,
              kcfg: KernelConfig) -> np.ndarray | None:
         """Rows L' (r x total N) of a low-rank factor of the Gram of
@@ -212,23 +201,25 @@ class GramCache:
 
         return self._get_or_build(key, build)
 
+    def _low_rank(self, data: Dataset, variables: tuple[str, ...], kcfg: KernelConfig,
+                  ridge: float) -> bool:
+        """Whether this key's factor is low-rank: see :meth:`factor`."""
+        return (len(variables) == 1 and ridge > 0
+                and self.rows([data], variables[0], kcfg) is not None)
+
     def factor(self, data: Dataset, variables: tuple[str, ...], kcfg: KernelConfig,
                ridge: float) -> CholFactor:
         """Factor of the joint Gram over ``variables`` plus ridge and JITTER_FLOOR.
 
         One variable with a positive ridge takes the cached low-rank rows of
-        :meth:`rows`, which every ridge shares; only past their rank cap is
-        the (cached) Gram factored.
+        :meth:`rows`, which every ridge shares, and the factor is cached.
+        Otherwise, or past the rows' rank cap, it is a dense factor, not
+        cached, of Grams built from the samples.
         """
-        self._register(data)
-        key = ("chol", data.id, tuple(variables), kcfg.bandwidth_sq, ridge)
+        if not self._low_rank(data, variables, kcfg, ridge):
+            grams = [gram_entries(data.column(v), data.column(v), kcfg) for v in variables]
+            return _dense_factor(data, variables, grams, ridge)
         label = f"variables {list(variables)!r} of dataset {data.id!r}"
-
-        def build():
-            if len(variables) == 1 and ridge > 0:
-                rows = self.rows([data], variables[0], kcfg)
-                if rows is not None:
-                    return CholFactor(rows, ridge, JITTER_FLOOR, label, low_rank=True)
-            return CholFactor(self.gram(data, data, variables, kcfg), ridge, JITTER_FLOOR, label)
-
-        return self._get_or_build(key, build)
+        return self._get_or_build(("chol", data.id, tuple(variables), kcfg.bandwidth_sq, ridge),
+                                  lambda: CholFactor(self.rows([data], variables[0], kcfg), ridge,
+                                                     JITTER_FLOOR, label, low_rank=True))

@@ -235,10 +235,12 @@ def _run_pairwise(args) -> int:
     if args.policy == "user":
         interventions = {}
         for item in args.intervene:
-            env, sep, assign = item.partition(":")
-            if not sep:
+            if ":" not in item:
                 raise _UsageError(f"bad --intervene {item!r}, expected ENV:NAME=VALUE")
-            interventions.setdefault(env.strip(), {}).update(_parse_assignments([assign]))
+            # ENV is the longest loaded id followed by ':', since an id may contain ':'
+            env = max((e.id for e in envs if item.startswith(e.id + ":")), key=len,
+                      default=item.partition(":")[0])
+            interventions.setdefault(env, {}).update(_parse_assignments([item[len(env) + 1:]]))
     matrix = pairwise_matrix(
         envs, g, args.metric, cfg,
         intervention_policy="per-variable-mean" if args.policy == "mean" else "user",
@@ -280,6 +282,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "policy", None) == "mean" and any(
+                getattr(args, f, None) for f in ("intervene", "intervene1", "intervene2")):
+            raise _UsageError("--intervene values are read only under --policy user")
         if args.command == "sid":
             g1 = load_graph(args.graph1)
             g2 = load_graph(args.graph2)

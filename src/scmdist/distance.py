@@ -15,12 +15,10 @@ a pairwise matrix holds SCMD for every pair of environments.
 One planner serves them all.  The weights of do(V_i = v) do not depend on
 the target j, so each (graph, dataset) side solves once per intervened
 variable i that reaches another variable: one factor and one solve with a
-right-hand side per intervention value of i.  The factor is a pivoted
-Cholesky factor of rank r (about N r^2 flops, see :mod:`scmdist.cache`)
-when i has no parents, the ridge is positive and r <= N/4; otherwise it is
-a dense Cholesky factor of the Gram over (i, parents) (N^3/3 flops).
-For each target j the side's weight columns are stacked into an N x C
-matrix M, with the uniform marginal column wherever i does not reach j.
+right-hand side per intervention value of i (:mod:`scmdist.cache` says
+when the factor is low-rank and when dense).  For each target j the side's
+weight columns are stacked into an N x C matrix M, with the uniform
+marginal column wherever i does not reach j.
 The squared pair terms are read off diag(M1' K1 M1) - 2 M1' K12 M2 +
 diag(M2' K2 M2) only at the combinations of intervention values a distance
 uses (one, or E-SCMD's quantile levels): one pairs x combinations array per
@@ -34,9 +32,9 @@ cross-form is P1' P2, and no N x N Gram is formed.  The residual
 K - L L' is positive semi-definite with diagonal at most 1e-13, so each
 squared distance comes out low by at most 1e-13 (|w1|_1 + |w2|_1)^2.
 Past rank total N / 4 the forms use the dense Grams instead, one GEMM of
-the N x N Gram with M per side and couple (about 2 N^2 C flops).  A
-pairwise matrix computes each environment's weights, projections and
-self-forms once for all its pairs.
+the N x N Gram, built from the samples for each form, with M per side and
+couple (about 2 N^2 C flops).  A pairwise matrix computes each
+environment's weights, projections and self-forms once for all its pairs.
 
 One reduction, :func:`_reduce`, serves every distance: it clamps to 0 a
 square at or above -1e-8 max(N1, N2) (below it raises NumericalError) and
@@ -53,10 +51,10 @@ import numpy as np
 
 from .cache import GramCache
 from .dataset import Dataset
-from .embedding import EstimatorConfig, weight_columns
+from .embedding import EstimatorConfig, _side_weights
 from .errors import NumericalError, ValidationError
 from .graph import Dag
-from .kernel import KernelConfig
+from .kernel import KernelConfig, gram_entries
 
 __all__ = [
     "InterventionSpec",
@@ -172,8 +170,8 @@ class _Side:
         width = len(values[terms[0][0]])
         descendants = {i: g.descendants(i) for i, _ in terms}
         reaching = sorted({i for i, j in terms if j in descendants[i]})
-        weights = {i: weight_columns(data, i, tuple(sorted(g.parents(i))), values[i], cfg, cache)
-                   for i in reaching}
+        weights = _side_weights(data, {i: (tuple(sorted(g.parents(i))), values[i])
+                                       for i in reaching}, cfg, cache)
         marginal = np.full((data.n, 1), 1.0 / data.n)
         sources: dict[str, list[str]] = {}
         for i, j in terms:
@@ -231,7 +229,7 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
                 return _forms(proj[a], proj[b])
         else:
             def form(a, b):
-                k = cache.gram(sides[a].data, sides[b].data, (j,), cfg.kernel)
+                k = gram_entries(sides[a].data.column(j), sides[b].data.column(j), cfg.kernel)
                 return _forms(stacks[a], k @ stacks[b])
 
         norms = {s: np.diagonal(form(s, s)) for s in used}
@@ -461,11 +459,12 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
 
     ``metric`` is "scmd" or "mmd".  Under the "per-variable-mean" policy each
     environment is intervened at its own column means; under "user" the
-    ``interventions`` mapping (environment id -> variable -> value) is used.
-    Each unordered pair is computed once and mirrored.  For "scmd" each
-    environment's weights and self-forms are computed once and shared by all
-    its pairs.  Evaluation is serial: ``threads`` accepts only 1.  A
-    ``cache`` passed in may be shared with the caller's own threads.
+    ``interventions`` mapping (environment id -> variable -> value) is used
+    ("mmd" reads no intervention values, and takes neither).  Each unordered
+    pair is computed once and mirrored.  For "scmd" each environment's
+    weights and self-forms are computed once and shared by all its pairs.
+    Evaluation is serial: ``threads`` accepts only 1.  A ``cache`` passed in
+    may be shared with the caller's own threads.
     """
     envs = list(envs)
     if len(envs) < 2:
@@ -477,6 +476,10 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
         raise ValidationError(f"metric must be 'scmd' or 'mmd', got {metric!r}")
     if intervention_policy not in ("per-variable-mean", "user"):
         raise ValidationError(f"unknown intervention policy {intervention_policy!r}")
+    reads = metric == "scmd" and intervention_policy == "user"
+    if not reads and (interventions is not None or intervention_policy == "user"):
+        raise ValidationError(f"metric {metric!r} under policy {intervention_policy!r} "
+                              "reads no intervention values")
     if threads != 1:
         raise ValidationError(f"evaluation is serial: threads must be 1, got {threads!r}")
 
@@ -494,7 +497,7 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
                         f"policy 'user' needs intervention values for environment {e.id!r}")
                 specs[e.id] = InterventionSpec(interventions[e.id])
         unknown = sorted(set(interventions or ()) - set(ids))
-        if intervention_policy == "user" and unknown:
+        if unknown:
             raise ValidationError(f"interventions name unknown environments {unknown}")
 
     pair_index = [(r, c) for r in range(len(envs)) for c in range(r + 1, len(envs))]
@@ -502,7 +505,7 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
     if metric == "mmd":
         results = [mmd_vstat(envs[r], envs[c], cfg.kernel) for r, c in pair_index]
     else:
-        cache = cache or GramCache(capacity=max(12, 4 * len(envs)))
+        cache = cache or GramCache()
         names = sorted(g.nodes)
         pairs = [(i, j) for i in names for j in names if i != j]
         sides = [_Side(g, e, {i: [specs[e.id].value_for(i)] for i in names}, pairs, cfg, cache)

@@ -25,15 +25,16 @@ marginal weights need no solve.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cache import GramCache
+from .cache import GramCache, _dense_factor, _hadamard
 from .dataset import Dataset
 from .errors import ValidationError
-from .kernel import KernelConfig, kernel_vector
+from .kernel import KernelConfig, gram_entries, kernel_vector
 
 __all__ = ["EstimatorConfig", "weight_columns"]
 
@@ -64,19 +65,41 @@ def weight_columns(data: Dataset, i: str, z: tuple[str, ...], values: Sequence[f
 
     With an empty adjustment set ``z`` the columns are the conditional
     weights; otherwise the interventional weights for set ``z``.  All columns
-    share one factor lookup and one multi-right-hand-side solve.
+    share one factor and one multi-right-hand-side solve.
     """
-    if not z and data.n < 2:
-        raise ValidationError("conditional weights need at least 2 samples")
-    cache = cache or GramCache()
-    factor = cache.factor(data, (i,) + z, cfg.kernel, cfg.ridge_lambda)
-    x = data.column(i)
-    rhs = np.column_stack([kernel_vector(x, v, cfg.kernel) for v in values])
-    if z:
-        n = data.n
-        rhs *= (cache.gram(data, data, z, cfg.kernel) @ np.full(n, 1.0 / n))[:, None]
-    w = factor.solve(rhs)
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weight vector contains non-finite entries")
-    return w
+    return _side_weights(data, {i: (z, values)}, cfg, cache or GramCache())[i]
 
+
+def _side_weights(data: Dataset, keys: Mapping[str, tuple[tuple[str, ...], Sequence[float]]],
+                  cfg: EstimatorConfig, cache: GramCache) -> dict[str, np.ndarray]:
+    """:func:`weight_columns` of one dataset for each variable i of ``keys``
+    (i -> adjustment set, values).  The keys without a low-rank factor build
+    each per-variable Gram they read once, form each joint Gram and K_Z @ 1/N
+    from them in one step, and drop each after the last key that reads it."""
+    kcfg, ridge, n = cfg.kernel, cfg.ridge_lambda, data.n
+    dense = [i for i, (z, _) in keys.items() if not cache._low_rank(data, (i,) + z, kcfg, ridge)]
+    uses = Counter(v for i in dense for v in (i,) + keys[i][0])
+    grams, out = {}, {}
+    for i, (z, values) in keys.items():
+        if not z and n < 2:
+            raise ValidationError("conditional weights need at least 2 samples")
+        rhs = np.column_stack([kernel_vector(data.column(i), v, kcfg) for v in values])
+        if i in dense:
+            for v in (i,) + z:
+                if v not in grams:
+                    grams[v] = gram_entries(data.column(v), data.column(v), kcfg)
+                uses[v] -= 1
+            held = [grams[v] if uses[v] else grams.pop(v) for v in (i,) + z]
+            if z:
+                rhs *= (_hadamard(held[1:]) @ np.full(n, 1.0 / n))[:, None]
+            elif uses[i]:
+                held = [held[0].copy()]  # the factor overwrites the Gram it takes
+            factor = _dense_factor(data, (i,) + z, held, ridge)
+            del held
+        else:
+            factor = cache.factor(data, (i,), kcfg, ridge)
+        out[i] = factor.solve(rhs)
+        del factor  # a dense factor holds N x N floats
+        if not np.all(np.isfinite(out[i])):
+            raise ValidationError("weight vector contains non-finite entries")
+    return out

@@ -6,9 +6,9 @@ The kernel family is fixed to the Gaussian kernel
 
 parameterized by its variance ``sigma_sq`` (squared data units).  Joint
 kernels over several variables are Hadamard (entrywise) products of the
-per-variable Grams (see :meth:`scmdist.cache.GramCache.gram`), which
-realizes the product kernel; the per-variable Grams are cached, their
-product is formed on each call.
+per-variable Grams (``scmdist.cache._hadamard``), which realizes the
+product kernel.  No Gram is cached: :func:`gram_entries` builds each when a
+dense factor or form needs it (see :mod:`scmdist.embedding`).
 
 The default bandwidth is the median heuristic: the median squared
 difference over the pairs of an evenly strided subsample of at most 1000

@@ -5,6 +5,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scmdist import Dataset, EstimatorConfig, GramCache, KernelConfig, NumericalError, sample_m1
 from scmdist.cache import JITTER_FLOOR, CholFactor
 from scmdist.embedding import weight_columns
+from scmdist.kernel import gram_entries
 
 JITTER = 1e-10
 
@@ -24,7 +25,7 @@ def test_low_rank_solve_matches_dense_cho_solve(big, bandwidth_sq):
     kcfg = KernelConfig(bandwidth_sq)
     for var in ("X", "Y"):
         x = big.column(var)
-        gram = cache.gram(big, big, (var,), kcfg)
+        gram = gram_entries(x, x, kcfg)
         rhs = kernel_columns(x, np.quantile(x, [0.1, 0.5, 0.9]), bandwidth_sq)
         for ridge in (0.1, 0.5, 1.0):
             factor = cache.factor(big, (var,), kcfg, ridge)
@@ -38,14 +39,20 @@ def test_dense_factor_for_joint_key_zero_ridge_and_high_rank(big):
     cache = GramCache()
     kcfg = KernelConfig(1.0)
     assert cache.factor(big, ("X",), kcfg, 0.5).rank is not None
-    assert cache.factor(big, ("Y", "X"), kcfg, 0.5).rank is None
+    joint = cache.factor(big, ("Y", "X"), kcfg, 0.5)
+    assert joint.rank is None
     assert cache.factor(big, ("X",), kcfg, 0.0).rank is None
+    x, y = big.column("X"), big.column("Y")
+    gram = gram_entries(y, y, kcfg) * gram_entries(x, x, kcfg)
+    rhs = kernel_columns(y, [0.0, 2.0], 1.0)
+    dense = cho_solve(cho_factor(gram + (0.5 + JITTER) * np.eye(big.n)), rhs)
+    assert np.max(np.abs(joint.solve(rhs) - dense)) <= 1e-10
     # a narrow kernel leaves too many columns for a rank at most N/4
     d = sample_m1(3, 400, 401)
     narrow = KernelConfig(1e-4)
     factor = cache.factor(d, ("X",), narrow, 0.5)
     assert factor.rank is None
-    gram = cache.gram(d, d, ("X",), narrow)
+    gram = gram_entries(d.column("X"), d.column("X"), narrow)
     rhs = kernel_columns(d.column("X"), [0.0, 1.0], 1e-4)
     dense = cho_solve(cho_factor(gram + (0.5 + JITTER) * np.eye(d.n)), rhs)
     assert np.max(np.abs(factor.solve(rhs) - dense)) <= 1e-12
@@ -63,6 +70,18 @@ def test_zero_ridge_keeps_jitter_escalation_and_its_error():
     assert CholFactor(near, 0.0, JITTER_FLOOR, "near-singular").jitter_used == 1e-9
     with pytest.raises(NumericalError, match="jitter escalated to 1e-06"):
         CholFactor(-np.eye(4), 0.0, 0.0, "an indefinite matrix")
+
+
+def test_escalation_refactors_the_matrix_a_failed_attempt_overwrote():
+    # a dense factor works in place, so a retry must first restore the matrix
+    rng = np.random.default_rng(406)
+    x = rng.normal(size=40)
+    gram = gram_entries(x, x, KernelConfig(1.0)) - 3e-9 * np.eye(40)
+    factor = CholFactor(gram.copy(), 0.0, JITTER_FLOOR, "indefinite by 3e-9")
+    assert factor.jitter_used == 1e-8  # two failed attempts
+    rhs = rng.normal(size=(40, 2))
+    fresh = cho_solve(cho_factor(gram + 1e-8 * np.eye(40), lower=True), rhs)
+    assert np.array_equal(factor.solve(rhs), fresh)
 
 
 def test_low_rank_weights_vanish_under_huge_ridge(big):
@@ -92,27 +111,6 @@ def test_single_variable_factors_share_the_cached_rows_across_ridges(big, monkey
     assert len(pivots) == 1
 
 
-def test_rank_capped_factor_factors_the_cached_gram(monkeypatch):
-    import scmdist.cache as cache_mod
-
-    builds = []
-    real = cache_mod.gram_entries
-
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cache_mod, "gram_entries", counting)
-    d = sample_m1(3, 400, 402)
-    cache = GramCache()
-    narrow = KernelConfig(1e-4)
-    assert cache.rows([d], "X", narrow) is None
-    for ridge in (0.1, 0.5):
-        assert cache.factor(d, ("X",), narrow, ridge).rank is None
-    cache.gram(d, d, ("X",), narrow)
-    assert len(builds) == 1
-
-
 def count_builds(monkeypatch):
     """Keys of the cache entries built from now on, in build order."""
     built = []
@@ -132,22 +130,10 @@ def test_a_factor_hit_builds_nothing(monkeypatch):
     built = count_builds(monkeypatch)
     d = sample_m1(3, 200, 403)
     cache = GramCache(capacity=3)
-    first = cache.factor(d, ("Y", "X"), KernelConfig(1.0), 0.5)
-    assert len(built) == 3  # the Grams of Y and X, then the factor
-    assert cache.factor(d, ("Y", "X"), KernelConfig(1.0), 0.5) is first
-    assert len(built) == 3
-
-
-def test_only_single_variable_grams_are_cached():
-    d = sample_m1(3, 200, 404)
-    cache = GramCache()
-    kcfg = KernelConfig(1.0)
-    cache.factor(d, ("Y", "X"), kcfg, 0.5)
-    joint = cache.gram(d, d, ("Y", "X"), kcfg)
-    grams = sorted(k for k in cache._entries if k[0] == "gram")
-    assert grams == [("gram", d.id, d.id, v, 1.0) for v in ("X", "Y")]
-    product = cache.gram(d, d, ("Y",), kcfg) * cache.gram(d, d, ("X",), kcfg)
-    assert joint.tobytes() == product.tobytes()
+    first = cache.factor(d, ("X",), KernelConfig(1.0), 0.5)
+    assert [k[0] for k in built] == ["rows", "chol"]
+    assert cache.factor(d, ("X",), KernelConfig(1.0), 0.5) is first
+    assert len(built) == 2
 
 
 def test_nested_builds_under_threads_build_each_key_once(monkeypatch):
@@ -158,9 +144,10 @@ def test_nested_builds_under_threads_build_each_key_once(monkeypatch):
     d = sample_m1(3, 200, 405)
     cache = GramCache(capacity=4)
     kcfg = KernelConfig(1.0)
-    calls = [lambda: cache.factor(d, ("Y", "X"), kcfg, 0.5),
-             lambda: cache.factor(d, ("X", "Y"), kcfg, 0.5),
-             lambda: cache.gram(d, d, ("X", "Y"), kcfg)]
+    # each factor lookup looks up the rows its build reads
+    calls = [lambda: cache.factor(d, ("X",), kcfg, 0.5),
+             lambda: cache.factor(d, ("X",), kcfg, 1.0),
+             lambda: cache.rows([d], "X", kcfg)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -169,7 +156,8 @@ def test_nested_builds_under_threads_build_each_key_once(monkeypatch):
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(k[0] for k in built) == ["chol", "chol", "gram", "gram"]
+    assert sorted(k[0] for k in built) == ["chol", "chol", "rows"]
     assert all(r is results[0] for r in results[0::3])
     assert all(r is results[1] for r in results[1::3])
-    assert all(np.array_equal(r, results[2]) for r in results[2::3])
+    assert all(r is results[2] for r in results[2::3])
+    assert results[0].rank == results[1].rank == results[2].shape[0]

@@ -246,6 +246,43 @@ def test_pairwise_user_policy_matches_the_library(tmp_path, fwd_graph, capsys):
     assert "unknown environments ['d2']" in capsys.readouterr().err
 
 
+def test_intervention_values_a_run_would_not_read_are_errors(tmp_path, fwd_graph, capsys):
+    p1, p3 = write_samples(tmp_path)
+    pair = ["--data1", p1, "--data2", p3, "--graph1", fwd_graph, "--graph2", fwd_graph,
+            "--sigma-sq", "0.1", "--policy", "mean"]
+    for flag in ("--intervene", "--intervene1", "--intervene2"):
+        assert main(["scmd", *pair, flag, "X=7"]) == 1
+        assert "read only under --policy user" in capsys.readouterr().err
+    assert main(["pscmd", *pair, "--target", "Y", "--intervene", "X=7"]) == 1
+    many = ["pairwise", "--data", p1, p3, "--graph", fwd_graph, "--sigma-sq", "0.1"]
+    assert main([*many, "--metric", "scmd", "--intervene", "d1:X=7"]) == 1
+    assert "read only under --policy user" in capsys.readouterr().err
+    assert main([*many, "--metric", "mmd", "--policy", "user", "--intervene", "zz:X=1"]) == 2
+    assert "'mmd' under policy 'user' reads no intervention values" in capsys.readouterr().err
+
+
+def test_pairwise_addresses_an_environment_id_containing_a_colon(tmp_path, fwd_graph, capsys):
+    paths = []
+    for name, seed in (("a:b", 73), ("a", 74)):
+        p = tmp_path / f"{name}.csv"
+        save_dataset(sample_m1(3, 300, seed), p)
+        paths.append(str(p))
+    values = {"a:b": {"X": 1.0, "Y": 0.5}, "a": {"X": -0.5, "Y": 2.0}}
+    argv = ["pairwise", "--data", *paths, "--graph", fwd_graph, "--metric", "scmd",
+            "--sigma-sq", "0.1", "--policy", "user"]
+    argv += [a for env, vals in values.items() for name, v in vals.items()
+             for a in ("--intervene", f"{env}:{name}={v!r}")]
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["ids"] == ["a:b", "a"]
+    m = pairwise_matrix([load_dataset(p) for p in paths], load_graph(fwd_graph), "scmd",
+                        EstimatorConfig(KernelConfig(0.1), 0.5), intervention_policy="user",
+                        interventions=values)
+    assert got["values"] == m.values.tolist()
+    assert main(argv + ["--intervene", "b:X=1"]) == 2
+    assert "unknown environments ['b']" in capsys.readouterr().err
+
+
 def test_cost_guardrail_warns(tmp_path, fwd_graph, capsys):
     p1, p3 = write_samples(tmp_path)
     assert main(["scmd", "--data1", p1, "--data2", p3, "--graph1", fwd_graph,

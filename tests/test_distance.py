@@ -282,6 +282,14 @@ def test_pairwise_validation():
                         interventions={d.id: unit, other.id: unit, "envX": unit})
     with pytest.raises(ValidationError, match="serial"):
         pairwise_matrix([d, other], FWD, "scmd", CFG, threads=2)
+    # intervention values the run would not read
+    with pytest.raises(ValidationError, match="'per-variable-mean' reads no"):
+        pairwise_matrix([d, other], FWD, "scmd", CFG,
+                        interventions={d.id: unit, other.id: unit})
+    for interventions in (None, {d.id: unit, other.id: unit}):
+        with pytest.raises(ValidationError, match="'mmd' under policy 'user' reads no"):
+            pairwise_matrix([d, other], FWD, "mmd", CFG, intervention_policy="user",
+                            interventions=interventions)
 
 
 def test_scmd_supports_unequal_sample_sizes():
@@ -496,19 +504,29 @@ def test_identical_data_is_exactly_zero_through_low_rank_forms():
     assert m.values[0, 1] == 0.0
 
 
+def count_gram_builds(monkeypatch):
+    """The two sample columns of every Gram built from now on, by any module."""
+    import sys
+
+    import scmdist.kernel as kernel_mod
+
+    calls = []
+    real = kernel_mod.gram_entries
+
+    def counting(col_a, col_b, cfg):
+        calls.append((col_a, col_b))
+        return real(col_a, col_b, cfg)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scmdist") and getattr(module, "gram_entries", None) is real:
+            monkeypatch.setattr(module, "gram_entries", counting)
+    return calls
+
+
 def test_single_variable_kernels_build_no_n_by_n_gram(monkeypatch):
     import tracemalloc
 
-    import scmdist.cache as cache_mod
-
-    calls = []
-    real = cache_mod.gram_entries
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cache_mod, "gram_entries", counting)
+    calls = count_gram_builds(monkeypatch)
     n = 6000
     d1, d2, d3 = sample_m1(3, n, 85), sample_m1(5, n, 86), sample_m2(3, n, 87)
     cfg = EstimatorConfig(kernel=KernelConfig(0.1), ridge_lambda=0.5)
@@ -522,3 +540,55 @@ def test_single_variable_kernels_build_no_n_by_n_gram(monkeypatch):
         tracemalloc.stop()
     assert calls == []
     assert peak < 8 * n * n
+
+
+def test_pairwise_matrix_caches_no_n_by_n_array(monkeypatch):
+    import scmdist.cache as cache_mod
+    from scmdist.cache import LOW_RANK_MAX_DIVISOR, CholFactor, _pivoted_rows
+
+    grams = count_gram_builds(monkeypatch)
+    labels = []
+    real = cache_mod.CholFactor.__init__
+
+    def counting(self, matrix, ridge, jitter, label, *args, **kwargs):
+        labels.append(label)
+        real(self, matrix, ridge, jitter, label, *args, **kwargs)
+
+    monkeypatch.setattr(cache_mod.CholFactor, "__init__", counting)
+    g = sachs_expert_graph()
+    rng = np.random.default_rng(70)
+    envs = []
+    for k in range(3):
+        coeffs = {e: float(rng.uniform(0.5, 1.0)) for e in sorted(g.edges)}
+        model = LinearGaussianScm(g, coeffs, {v: 1.0 for v in g.nodes})
+        envs.append(sample_scm(model, 60, 70 + k, id=f"sachs-{k}"))
+    cfg = EstimatorConfig(kernel=KernelConfig(1.0))
+    cache = GramCache(capacity=64)
+    m = pairwise_matrix(envs, g, "scmd", cfg, cache=cache)
+
+    keys = {e.id: [(i,) + tuple(sorted(g.parents(i))) for i in g.nodes if g.descendants(i)]
+            for e in envs}
+
+    def dense(e, key):
+        # one variable with a positive ridge is low-rank unless past rank N/4
+        return len(key) > 1 or _pivoted_rows(e.column(key[0]), 1.0,
+                                             e.n // LOW_RANK_MAX_DIVISOR) is None
+
+    expected = sorted((e.id, v) for e in envs
+                      for v in {v for key in keys[e.id] if dense(e, key) for v in key})
+    # this data has both kinds of single-variable key, and the dense ones
+    # share their Gram with a later joint key
+    assert 0 < sum(dense(e, (v,)) for e in envs for v in ("PKC", "Plcg")) < 6
+    owner = {id(e.column(v)): (e.id, v) for e in envs for v in g.nodes}
+    assert all(a is b for a, b in grams)
+    assert sorted(owner[id(a)] for a, _ in grams) == expected
+    assert len(labels) == len(set(labels)) == sum(map(len, keys.values()))
+    for key, entry in cache._entries.items():
+        if key[0] == "rows":
+            assert entry is None or entry.shape[0] <= entry.shape[1] // LOW_RANK_MAX_DIVISOR
+        else:
+            assert key[0] == "chol"
+            assert isinstance(entry, CholFactor) and entry.rank is not None
+    means = [InterventionSpec.from_means(e).values for e in envs[:2]]
+    terms = scmd_pair_terms_loop(g, envs[0], means[0], g, envs[1], means[1], cfg)
+    assert abs(m.values[0, 1] - math.fsum(terms.values())) <= 1e-12

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -190,78 +191,69 @@ def test_cache_rejects_id_reuse():
     rng = np.random.default_rng(24)
     d1 = Dataset({"X": rng.normal(size=10)}, id="same")
     d2 = Dataset({"X": rng.normal(size=10)}, id="same")
-    cache.gram(d1, d1, ("X",), KernelConfig(1.0))
+    cache.rows([d1], "X", KernelConfig(1.0))
     with pytest.raises(ValidationError):
-        cache.gram(d2, d2, ("X",), KernelConfig(1.0))
+        cache.rows([d2], "X", KernelConfig(1.0))
+    with pytest.raises(ValidationError):
+        cache.factor(d2, ("X",), KernelConfig(1.0), 0.5)
 
 
-def test_cache_builds_each_gram_once_under_threads(monkeypatch):
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
+def count_pivotings(monkeypatch):
+    """One entry per pivoted-Cholesky build from now on."""
     import scmdist.cache as cache_mod
 
     calls = []
-    real = cache_mod.gram_entries
+    real = cache_mod._pivoted_rows
 
     def counting(*args, **kwargs):
         calls.append(threading.get_ident())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cache_mod, "gram_entries", counting)
+    monkeypatch.setattr(cache_mod, "_pivoted_rows", counting)
+    return calls
+
+
+def test_cache_builds_each_gram_once_under_threads(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    calls = count_pivotings(monkeypatch)
     d = sample_m1(3, 200, 90)
     cache = GramCache()
     kcfg = KernelConfig(0.5)
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: cache.gram(d, d, ("X",), kcfg), range(16)))
+        results = list(pool.map(lambda _: cache.rows([d], "X", kcfg), range(16)))
     assert len(calls) == 1
+    assert results[0] is not None
     assert all(r is results[0] for r in results)
 
 
 def test_cache_evicts_least_recently_used(monkeypatch):
-    import scmdist.cache as cache_mod
-
-    builds = []
-    real = cache_mod.gram_entries
-
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cache_mod, "gram_entries", counting)
-    d = sample_m1(3, 50, 91)
+    builds = count_pivotings(monkeypatch)
+    d = sample_m1(3, 200, 91)
     cache = GramCache(capacity=2)
     kcfg = KernelConfig(0.5)
-    first = cache.gram(d, d, ("X",), kcfg)
-    cache.gram(d, d, ("Y",), kcfg)
-    cache.gram(d, d, ("X",), KernelConfig(0.25))  # evicts the oldest entry
+    first = cache.rows([d], "X", kcfg)
+    cache.rows([d], "Y", kcfg)
+    cache.rows([d], "X", KernelConfig(0.25))  # evicts the oldest entry
     assert len(builds) == 3
-    again = cache.gram(d, d, ("X",), kcfg)
+    again = cache.rows([d], "X", kcfg)
     assert len(builds) == 4
+    assert first is not None
     assert again is not first and np.array_equal(first, again)
 
 
 def test_cache_hit_refreshes_recency(monkeypatch):
-    import scmdist.cache as cache_mod
-
-    builds = []
-    real = cache_mod.gram_entries
-
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cache_mod, "gram_entries", counting)
+    builds = count_pivotings(monkeypatch)
     rng = np.random.default_rng(92)
     d = Dataset({v: rng.normal(size=20) for v in ("A", "B", "C")}, id="lru")
     cache = GramCache(capacity=2)
     kcfg = KernelConfig(0.5)
-    cache.gram(d, d, ("A",), kcfg)
-    cache.gram(d, d, ("B",), kcfg)
-    cache.gram(d, d, ("A",), kcfg)  # a hit: A becomes the most recent
-    cache.gram(d, d, ("C",), kcfg)  # evicts B, the least recently used
+    cache.rows([d], "A", kcfg)
+    cache.rows([d], "B", kcfg)
+    cache.rows([d], "A", kcfg)  # a hit: A becomes the most recent
+    cache.rows([d], "C", kcfg)  # evicts B, the least recently used
     assert len(builds) == 3
-    cache.gram(d, d, ("A",), kcfg)
+    cache.rows([d], "A", kcfg)
     assert len(builds) == 3
-    cache.gram(d, d, ("B",), kcfg)
+    cache.rows([d], "B", kcfg)
     assert len(builds) == 4

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from scmdist import (
-    Dataset,
-    GramCache,
     KernelConfig,
     ValidationError,
     gaussian_kernel,
     median_heuristic,
 )
+from scmdist.cache import _hadamard
 from scmdist.kernel import MEDIAN_HEURISTIC_MAX_POINTS, _first_failing, gram_entries
 
 from oracles import median_heuristic_outer
@@ -95,21 +94,22 @@ def test_gram_rejects_empty_and_non_finite():
         gram_entries([1.0, np.nan], [1.0], cfg)
 
 
-# joint Grams are the cache's Hadamard products of per-variable Grams
+# joint Grams are Hadamard products of per-variable Grams
 
 def test_hadamard_with_all_ones_unchanged():
     rng = np.random.default_rng(4)
-    d = Dataset({"X": rng.normal(size=8), "C": np.ones(8)}, id="ones")
-    cache = GramCache()
+    x = rng.normal(size=8)
     cfg = KernelConfig(0.4)
-    assert np.array_equal(cache.gram(d, d, ("X", "C"), cfg), cache.gram(d, d, ("X",), cfg))
+    ones = gram_entries(np.ones(8), np.ones(8), cfg)
+    assert np.array_equal(_hadamard([gram_entries(x, x, cfg), ones]), gram_entries(x, x, cfg))
 
 
 def test_hadamard_of_psd_is_psd():
     rng = np.random.default_rng(5)
-    # same dataset on both sides so each factor is PSD
-    d = Dataset({"A": rng.normal(size=30), "B": rng.normal(size=30)}, id="psd")
-    prod = GramCache().gram(d, d, ("A", "B"), KernelConfig(0.3))
+    # same samples on both sides so each factor is PSD
+    a, b = rng.normal(size=30), rng.normal(size=30)
+    cfg = KernelConfig(0.3)
+    prod = _hadamard([gram_entries(a, a, cfg), gram_entries(b, b, cfg)])
     assert np.linalg.eigvalsh(prod).min() >= -1e-8 * 30
 
 
