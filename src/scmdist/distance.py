@@ -69,9 +69,11 @@ __all__ = [
 ]
 
 DEFAULT_ESCMD_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
-# lower clip of the MMD kernel exponents, and rows per block; see mmd_vstat
+# lower clip of the MMD kernel exponents, the exponent below which its
+# entries are left out, and rows per strip; see mmd_vstat
 EXP_FLOOR = -700.0
-MMD_BLOCK = 512
+BAND_CUTOFF = -69.0
+MMD_BLOCK = 128
 # a squared distance below -CLAMP_PER_SAMPLE * max(N1, N2) is a numerical failure
 CLAMP_PER_SAMPLE = 1e-8
 
@@ -303,6 +305,13 @@ def _check_same_variables(d1: Dataset, d2: Dataset, g1: Dag, g2: Dag):
     return sorted(names)
 
 
+def _check_named(spec: InterventionSpec, names, where: str = "") -> None:
+    outside = sorted(set(spec.values) - set(names))
+    if outside:
+        raise ValidationError(
+            f"{where}intervention values name variables outside the graph: {outside}")
+
+
 def _config_echo(cfg: EstimatorConfig, **extra) -> dict:
     return {"bandwidth_sq": cfg.kernel.bandwidth_sq, "ridge_lambda": cfg.ridge_lambda, **extra}
 
@@ -324,6 +333,8 @@ def scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
     names = _check_same_variables(d1, d2, g1, g2)
     pairs = [(i, j) for i in names for j in names if i != j]
     v1, v2 = _as_spec(v1), _as_spec(v2)
+    _check_named(v1, names)
+    _check_named(v2, names)
     result = _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache or GramCache())
     return _point_report("scmd", result, (d1.id, d2.id), v1, v2, cfg)
 
@@ -332,12 +343,16 @@ def p_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, target: str,
            v1: InterventionSpec | Mapping[str, float],
            v2: InterventionSpec | Mapping[str, float],
            cfg: EstimatorConfig, cache: GramCache | None = None) -> DistanceReport:
-    """Prediction-oriented variant: only pairs with target j fixed."""
+    """Prediction-oriented variant: only pairs with target j fixed.
+
+    ``v1`` and ``v2`` may hold a value for ``target`` itself; it is not read."""
     names = _check_same_variables(d1, d2, g1, g2)
     if target not in names:
         raise ValidationError(f"unknown target variable {target!r}")
     pairs = [(i, target) for i in names if i != target]
     v1, v2 = _as_spec(v1), _as_spec(v2)
+    _check_named(v1, names)
+    _check_named(v2, names)
     result = _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache or GramCache())
     return _point_report("p-scmd", result, (d1.id, d2.id), v1, v2, cfg, target=target)
 
@@ -396,20 +411,32 @@ def mmd_vstat(d1: Dataset, d2: Dataset, kcfg: KernelConfig) -> float:
     """Biased V-statistic estimate of the joint-distribution MMD.
 
     The joint kernel over all shared variables is the product of per-variable
-    Gaussian kernels.  After shifting both samples by one common vector (to
-    keep norms small), each sample u gets the factors L = [-2c u, c|u|^2, c]
-    and R = [u, 1, |u|^2], with c = -1/(2 sigma_sq), so one GEMM of a row
-    block of L with R' gives the exponents c |u - w|^2 of the whole block.
-    They are clipped to [EXP_FLOOR, 0] in one pass, exponentiated in place and
-    summed: 4 passes per block.  The upper bound 0 undoes round-off that
-    makes a square negative.  The floor keeps numpy's exp on its vectorized
-    path, which it leaves for inputs below about -708 (results that are
-    subnormal or underflow to 0 cost 15 to 100 times as much per element);
-    it raises each kernel value by at most e^-700 (about 1e-304).  Each self
-    term sums one triangle of row blocks and doubles the off-diagonal part.
-    Rows are taken MMD_BLOCK at a time, so memory stays O(MMD_BLOCK * N).  The
-    datasets are taken in dataset-id order, so swapping them leaves the
-    result unchanged bit for bit.
+    Gaussian kernels.  Both samples are sorted along the coordinate with the
+    largest range over both (a stable sort) and shifted to keep norms small:
+    for its self sum, a sample by its own mean; for the cross sum, both by
+    the first sample's mean.  Each shifted sample u gets the factors
+    L = [-2c u, c|u|^2, c] and R = [u, 1, |u|^2], with c = -1/(2 sigma_sq),
+    so one GEMM of a strip of rows of L with R' gives the exponents
+    c |u - w|^2 of the whole strip.  They are clipped to [EXP_FLOOR, 0] in
+    one pass, exponentiated in place and summed.  The upper bound 0 undoes
+    round-off that makes a square negative.  The floor keeps numpy's exp on
+    its vectorized path, which it leaves for inputs below about -708 (results
+    that are subnormal or underflow to 0 cost 15 to 100 times as much per
+    element); it raises each kernel value by at most e^-700 (about 1e-304).
+
+    The sums are band-limited.  Rows are taken in strips of MMD_BLOCK; for
+    each strip, two binary searches over the other sample's sorted
+    coordinate find the contiguous band of columns within
+    reach = sqrt(2 sigma_sq * -BAND_CUTOFF) of the strip along it.  Every
+    entry outside the band has exponent below BAND_CUTOFF = -69, so each of
+    the three mean kernel values moves by less than e^-69, the square by at
+    most 4 e^-69 (about 4e-30), and the MMD by at most 2e-15 even at 0.
+    A self sum takes each strip's diagonal block plus its band to the right,
+    doubled; the cross sum takes the diagonal blocks plus the bands to the
+    right of both samples' strips.  Equal samples therefore add up the same
+    entries in the same order on both sides and give exactly 0.0.  Memory
+    stays O(MMD_BLOCK * N).  The datasets are taken in dataset-id order, so
+    swapping them leaves the result unchanged bit for bit.
     """
     if set(d1.variable_names) != set(d2.variable_names):
         raise ValidationError("datasets must share the same variable names")
@@ -417,35 +444,44 @@ def mmd_vstat(d1: Dataset, d2: Dataset, kcfg: KernelConfig) -> float:
     names = sorted(d1.variable_names)
     a = np.column_stack([d1.column(v) for v in names])
     b = np.column_stack([d2.column(v) for v in names])
-    shift = a.mean(axis=0)
-    a, b = a - shift, b - shift
+    axis = int(np.argmax(np.maximum(a.max(axis=0), b.max(axis=0))
+                         - np.minimum(a.min(axis=0), b.min(axis=0))))
+    a = a[np.argsort(a[:, axis], kind="stable")]
+    b = b[np.argsort(b[:, axis], kind="stable")]
     c = -1.0 / (2.0 * kcfg.bandwidth_sq)
+    reach = math.sqrt(BAND_CUTOFF / c)
 
     def factors(u):
         norms = np.einsum("sd,sd->s", u, u)[:, None]
         ones = np.ones_like(norms)
-        return np.hstack([-2.0 * c * u, c * norms, c * ones]), np.hstack([u, ones, norms])
+        return (np.hstack([-2.0 * c * u, c * norms, c * ones]), np.hstack([u, ones, norms]),
+                u[:, axis])
 
     def kernel_sum(left, right):
         e = left @ right.T
         np.clip(e, EXP_FLOOR, 0.0, out=e)
         return float(np.exp(e, out=e).sum())
 
-    def self_total(left, right):
-        s = 0.0
+    def strips(x, y, diagonal):
+        """Sum of K over each strip of x's rows against the columns of y in
+        its band: those within the strip's own row range, or those past it."""
+        (left, _, kx), (_, right, ky) = x, y
+        total = 0.0
         for lo in range(0, left.shape[0], MMD_BLOCK):
             hi = lo + MMD_BLOCK
-            s += kernel_sum(left[lo:hi], right[lo:hi]) + 2.0 * kernel_sum(left[lo:hi], right[hi:])
-        return s
+            start = int(np.searchsorted(ky, kx[lo] - reach, "left"))
+            stop = int(np.searchsorted(ky, kx[lo:hi][-1] + reach, "right"))
+            first, last = (max(lo, start), min(hi, stop)) if diagonal else (max(hi, start), stop)
+            total += kernel_sum(left[lo:hi], right[first:last])
+        return total
 
-    def cross_total(left, right):
-        return sum(kernel_sum(left[lo:lo + MMD_BLOCK], right)
-                   for lo in range(0, left.shape[0], MMD_BLOCK))
-
-    (la, ra), (lb, rb) = factors(a), factors(b)
+    shift = a.mean(axis=0)
+    fa, fb, fab = factors(a - shift), factors(b - b.mean(axis=0)), factors(b - shift)
+    self_a = strips(fa, fa, True) + 2.0 * strips(fa, fa, False)
+    self_b = strips(fb, fb, True) + 2.0 * strips(fb, fb, False)
+    cross = strips(fa, fab, True) + (strips(fa, fab, False) + strips(fab, fa, False))
     n1, n2 = a.shape[0], b.shape[0]
-    sq = (self_total(la, ra) / n1 ** 2 + self_total(lb, rb) / n2 ** 2
-          - 2.0 * cross_total(la, rb) / (n1 * n2))
+    sq = self_a / n1 ** 2 + self_b / n2 ** 2 - 2.0 * cross / (n1 * n2)
     return math.sqrt(max(sq, 0.0))
 
 
@@ -496,6 +532,7 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
                     raise ValidationError(
                         f"policy 'user' needs intervention values for environment {e.id!r}")
                 specs[e.id] = InterventionSpec(interventions[e.id])
+                _check_named(specs[e.id], g.nodes, f"environment {e.id!r}: ")
         unknown = sorted(set(interventions or ()) - set(ids))
         if unknown:
             raise ValidationError(f"interventions name unknown environments {unknown}")

@@ -244,6 +244,9 @@ def test_pairwise_user_policy_matches_the_library(tmp_path, fwd_graph, capsys):
     assert "expected ENV:NAME=VALUE" in capsys.readouterr().err
     assert main(argv + intervene + ["--intervene", "d2:X=1"]) == 2
     assert "unknown environments ['d2']" in capsys.readouterr().err
+    assert main(argv + intervene + ["--intervene", "d1:Z=1"]) == 2
+    assert "environment 'd1': intervention values name variables outside the graph: ['Z']" \
+        in capsys.readouterr().err
 
 
 def test_intervention_values_a_run_would_not_read_are_errors(tmp_path, fwd_graph, capsys):
@@ -254,6 +257,10 @@ def test_intervention_values_a_run_would_not_read_are_errors(tmp_path, fwd_graph
         assert main(["scmd", *pair, flag, "X=7"]) == 1
         assert "read only under --policy user" in capsys.readouterr().err
     assert main(["pscmd", *pair, "--target", "Y", "--intervene", "X=7"]) == 1
+    user = [*pair[:-1], "user", "--intervene", "X=1", "--intervene", "Y=1"]
+    assert main(["scmd", *user, "--intervene1", "Z=9"]) == 2
+    assert "intervention values name variables outside the graph: ['Z']" \
+        in capsys.readouterr().err
     many = ["pairwise", "--data", p1, p3, "--graph", fwd_graph, "--sigma-sq", "0.1"]
     assert main([*many, "--metric", "scmd", "--intervene", "d1:X=7"]) == 1
     assert "read only under --policy user" in capsys.readouterr().err

@@ -24,7 +24,7 @@ from scmdist import (
     sample_scm,
     scmd,
 )
-from scmdist.distance import EXP_FLOOR
+from scmdist.distance import BAND_CUTOFF, EXP_FLOOR
 
 from oracles import mimd_sq_double_sum, mmd_vstat_naive, omega, random_dag, scmd_pair_terms_loop
 
@@ -159,6 +159,22 @@ def test_intervention_spec_helpers():
         means.value_for("missing")
 
 
+def test_intervention_values_outside_the_graph_are_errors():
+    d1 = sample_m1(3, 100, 24)
+    d2 = sample_m1(5, 100, 25)
+    extra = {"X": 1.0, "Y": 1.0, "Z": 9.0, "W": 0.0}
+    with pytest.raises(ValidationError, match=r"outside the graph: \['W', 'Z'\]"):
+        scmd(FWD, d1, FWD, d2, UNIT, extra, CFG)
+    with pytest.raises(ValidationError, match=r"outside the graph: \['W', 'Z'\]"):
+        p_scmd(FWD, d1, FWD, d2, "Y", extra, UNIT, CFG)
+    with pytest.raises(ValidationError, match=r"environment '.*-seed25': .*\['Z'\]"):
+        pairwise_matrix([d1, d2], FWD, "scmd", CFG, intervention_policy="user",
+                        interventions={d1.id: UNIT, d2.id: {**UNIT, "Z": 7.0}})
+    # p_scmd accepts a value for its own target, and does not read it
+    a = p_scmd(FWD, d1, FWD, d2, "Y", {"X": 1.0, "Y": 123.0}, {"X": 1.0, "Y": -50.0}, CFG)
+    assert a.value == p_scmd(FWD, d1, FWD, d2, "Y", {"X": 1.0}, {"X": 1.0}, CFG).value
+
+
 def test_scmd_requires_full_intervention_coverage():
     d1 = sample_m1(3, 100, 24)
     d2 = sample_m1(5, 100, 25)
@@ -168,7 +184,13 @@ def test_scmd_requires_full_intervention_coverage():
 
 def test_mmd_vstat_identical_zero():
     d = sample_m1(3, 500, 26)
-    assert mmd_vstat(d, d, KernelConfig(0.1)) <= 1e-7
+    assert mmd_vstat(d, d, KernelConfig(0.1)) == 0.0
+    # a copy under another id takes the cross-sample path
+    for k in range(30):
+        d = sample_m1(3, 300 + 37 * k, 400 + k)
+        copy = Dataset({v: d.column(v) for v in d.variable_names}, id=d.id + "-copy")
+        for bandwidth_sq in (0.05, 0.1, 1.0, 5.0):
+            assert mmd_vstat(d, copy, KernelConfig(bandwidth_sq)) == 0.0
 
 
 def _joint_samples(d):
@@ -198,14 +220,45 @@ def test_mmd_vstat_blocked_matches_naive(monkeypatch):
     assert _cross_exponents(d1, far, 0.1).max() < EXP_FLOOR
     window = _cross_exponents(d1, d2, 0.05)
     assert np.count_nonzero((window > -745.0) & (window < -707.0)) > 100
-    cases = [(d1, d2, 0.1), (*sachs, 1.0), (d1, far, 0.1), (d1, d2, 0.05)]
+    # the fixture's pair, whose bands leave entries out at both bandwidths
+    slope = sample_m1(5, 320, 29)
+    for bandwidth_sq in (0.1, 0.05):
+        assert _cross_exponents(d1, slope, bandwidth_sq).min() < BAND_CUTOFF
+    cases = [(d1, d2, 0.1), (*sachs, 1.0), (d1, far, 0.1), (d1, d2, 0.05),
+             (d1, slope, 0.1), (d1, slope, 0.05)]
     for e1, e2, bandwidth_sq in cases:
         expect = mmd_vstat_naive(_joint_samples(e1), _joint_samples(e2), bandwidth_sq)
-        # blocks that divide neither size, single rows, and one block per sample
-        for block in (64, 1, 512):
+        # strips that divide neither size, single rows, the default, and one
+        # strip per sample
+        for block in (64, 1, 128, 512):
             monkeypatch.setattr(dist_mod, "MMD_BLOCK", block)
             got = mmd_vstat(e1, e2, KernelConfig(bandwidth_sq))
             assert got == pytest.approx(expect, abs=1e-12)
+
+
+def test_mmd_vstat_does_not_depend_on_row_order():
+    d1 = sample_m1(3, 300, 27)
+    d2 = sample_m2(3, 350, 28)
+    rng = np.random.default_rng(31)
+    for bandwidth_sq in (0.05, 0.1, 1.0):
+        cfg = KernelConfig(bandwidth_sq)
+        for d in (d1, d2):
+            order = rng.permutation(d.n)
+            shuffled = Dataset({v: d.column(v)[order] for v in d.variable_names}, id=d.id)
+            pair = (shuffled, d2) if d is d1 else (d1, shuffled)
+            assert abs(mmd_vstat(*pair, cfg) - mmd_vstat(d1, d2, cfg)) <= 1e-14
+
+
+def test_mmd_vstat_of_a_far_pair_is_its_self_terms_alone():
+    d1 = sample_m1(3, 300, 27)
+    d2 = sample_m2(3, 350, 28)
+    far = Dataset({v: d2.column(v) + 100.0 for v in d2.variable_names}, id="far")
+    # every cross exponent lies below the band's cutoff, so the cross sum
+    # takes no entry at all
+    assert _cross_exponents(d1, far, 0.1).max() < BAND_CUTOFF
+    self_terms = sum(np.exp(_cross_exponents(d, d, 0.1)).mean() for d in (d1, far))
+    assert mmd_vstat(d1, far, KernelConfig(0.1)) == pytest.approx(math.sqrt(self_terms),
+                                                                   abs=1e-15)
 
 
 def test_mmd_vstat_is_exactly_symmetric():
