@@ -4,14 +4,19 @@ The Gaussian Gram of one variable is numerically low-rank: pivoted Cholesky
 (Harbrecht, Peters & Schneider 2012) gives L (N x r) with L L' equal to it
 up to a residual diagonal of 1e-13, in about N r^2 flops and 8 N r bytes.
 :meth:`GramCache.rows` caches these rows over the concatenated samples of
-one or more datasets, for the distances' quadratic and cross forms.  With a
-positive ridge, a single variable's cached factor takes the rows of its one
-dataset, shared by every ridge, and solves through the Woodbury identity
-(Fine & Scheinberg 2001) in 4 N r flops per right-hand side.  Joint Grams
-over several variables, a zero ridge (the Woodbury identity divides by it)
-and ranks above N/4 take a dense N^3/3 Cholesky factor of the entrywise
-product of per-variable Grams, built by :func:`_dense_factor` and never
-cached: no N x N array is a cache entry.  Every factor adds JITTER_FLOOR.
+one or more datasets, and a call pivots each variable once
+(:class:`_CallRows`), over the distinct sample columns of all its datasets.
+Each dataset's column block of those rows is a low-rank factor of its own
+Gram to the same residual, so one factor serves both the distances'
+quadratic and cross forms and the solves: with a positive ridge and a
+block rank within that dataset's N/4, a single variable's cached factor
+holds a view of its dataset's block, shared by every ridge, and solves
+through the Woodbury identity (Fine & Scheinberg 2001) in 4 N r flops per
+right-hand side.  Joint Grams over several variables, a zero ridge (the
+Woodbury identity divides by it) and ranks above N/4 take a dense N^3/3
+Cholesky factor of the entrywise product of per-variable Grams, built by
+:func:`_dense_factor` and never cached: no N x N array is a cache entry.
+Every factor adds JITTER_FLOOR.
 
 The package itself runs serially.  Lookups and construction are still
 serialized by one re-entrant lock per cache, so a cache shared across the
@@ -53,8 +58,10 @@ def _pivoted_rows(x: np.ndarray, bandwidth_sq: float, max_rank: int) -> np.ndarr
     ``x`` up to a largest residual diagonal of LOW_RANK_TOL, or None past
     ``max_rank``.
 
-    Each pivot's Gram row is computed from the samples when it is chosen, so
-    no N x N Gram is formed.  The row buffer doubles as it fills.
+    Each pivot's Gram row is computed from the samples straight into its slot
+    of the row buffer when it is chosen, so no N x N Gram is formed.  The
+    buffer doubles in place as it fills and is trimmed in place at the end
+    (``ndarray.resize``, which refuses while any view of it is alive).
     """
     n = x.size
     resid = np.ones(n)  # the Gaussian kernel's diagonal
@@ -62,16 +69,15 @@ def _pivoted_rows(x: np.ndarray, bandwidth_sq: float, max_rank: int) -> np.ndarr
     for k in range(max_rank):
         p = int(np.argmax(resid))
         if resid[p] <= LOW_RANK_TOL:
-            return rows[:k].copy()
+            rows.resize((k, n))
+            return rows
         if k == rows.shape[0]:
-            grown = np.empty((min(max_rank, 2 * k), n))
-            grown[:k] = rows
-            rows = grown
-        col = _gaussian_of_differences(x[p] - x, bandwidth_sq)
+            rows.resize((min(max_rank, 2 * k), n))
+        col = _gaussian_of_differences(np.subtract(x[p], x, out=rows[k]), bandwidth_sq)
         col -= rows[:k, p] @ rows[:k]
         col /= math.sqrt(resid[p])
-        rows[k] = col
         resid -= col * col
+        del col
     return rows if resid.max() <= LOW_RANK_TOL else None
 
 
@@ -201,12 +207,6 @@ class GramCache:
 
         return self._get_or_build(key, build)
 
-    def _low_rank(self, data: Dataset, variables: tuple[str, ...], kcfg: KernelConfig,
-                  ridge: float) -> bool:
-        """Whether this key's factor is low-rank: see :meth:`factor`."""
-        return (len(variables) == 1 and ridge > 0
-                and self.rows([data], variables[0], kcfg) is not None)
-
     def factor(self, data: Dataset, variables: tuple[str, ...], kcfg: KernelConfig,
                ridge: float) -> CholFactor:
         """Factor of the joint Gram over ``variables`` plus ridge and JITTER_FLOOR.
@@ -216,10 +216,62 @@ class GramCache:
         Otherwise, or past the rows' rank cap, it is a dense factor, not
         cached, of Grams built from the samples.
         """
-        if not self._low_rank(data, variables, kcfg, ridge):
-            grams = [gram_entries(data.column(v), data.column(v), kcfg) for v in variables]
-            return _dense_factor(data, variables, grams, ridge)
-        label = f"variables {list(variables)!r} of dataset {data.id!r}"
-        return self._get_or_build(("chol", data.id, tuple(variables), kcfg.bandwidth_sq, ridge),
-                                  lambda: CholFactor(self.rows([data], variables[0], kcfg), ridge,
-                                                     JITTER_FLOOR, label, low_rank=True))
+        if len(variables) == 1:
+            low = _CallRows(self, [data], kcfg).factor(data, variables[0], ridge)
+            if low is not None:
+                return low
+        grams = [gram_entries(data.column(v), data.column(v), kcfg) for v in variables]
+        return _dense_factor(data, variables, grams, ridge)
+
+
+class _CallRows:
+    """One pivoted factor per variable for one call over ``datasets``.
+
+    A variable's owners are its distinct sample columns over the datasets, in
+    dataset-id order; equal samples share one block, so they get equal rows.
+    Its first use looks up ``cache.rows(owners, variable)``, and the call
+    reads only that lookup, so no eviction makes it pivot again.
+    """
+
+    def __init__(self, cache: GramCache, datasets: Sequence[Dataset], kcfg: KernelConfig):
+        self._cache, self._kcfg = cache, kcfg
+        self._datasets = sorted(datasets, key=lambda d: d.id)
+        self._lookups: dict = {}
+
+    def _lookup(self, variable: str):
+        """(owner ids, dataset id -> its column slice, rows or None)."""
+        if variable not in self._lookups:
+            owners, spans, at = [], {}, 0
+            for d in self._datasets:
+                x = d.column(variable)
+                twin = next((o for o in owners if np.array_equal(o.column(variable), x)), None)
+                if twin is None:
+                    owners.append(d)
+                    spans[d.id] = slice(at, at + d.n)
+                    at += d.n
+                else:
+                    spans[d.id] = spans[twin.id]
+            rows = self._cache.rows(owners, variable, self._kcfg)
+            self._lookups[variable] = (tuple(o.id for o in owners), spans, rows)
+        return self._lookups[variable]
+
+    def block(self, data: Dataset, variable: str) -> np.ndarray | None:
+        """``data``'s columns of the rows (a view): a low-rank factor of its
+        own Gram.  None past the rows' rank cap."""
+        _, spans, rows = self._lookup(variable)
+        return None if rows is None else rows[:, spans[data.id]]
+
+    def factor(self, data: Dataset, variable: str, ridge: float) -> CholFactor | None:
+        """The cached Woodbury factor of ``data``'s Gram plus ridge, on a view
+        of its :meth:`block`, shared rows for every ridge; None (the dense
+        path) for a zero ridge, past the rank cap or a rank above data.n / 4."""
+        if ridge <= 0:
+            return None
+        block = self.block(data, variable)
+        if block is None or block.shape[0] > data.n // LOW_RANK_MAX_DIVISOR:
+            return None
+        key = ("chol", self._lookup(variable)[0], data.id, variable, self._kcfg.bandwidth_sq,
+               ridge)
+        label = f"variables {[variable]!r} of dataset {data.id!r}"
+        return self._cache._get_or_build(
+            key, lambda: CholFactor(block, ridge, JITTER_FLOOR, label, low_rank=True))

@@ -28,13 +28,17 @@ The Grams of V_j within and across the datasets are blocks of one Gram over
 their concatenated samples, so one pivoted Cholesky factor L' (r x total N)
 of that Gram serves every side: with P = L_s' M projected once per side
 (about 2 N r C flops), the self-forms are diag(P' P) and each couple's
-cross-form is P1' P2, and no N x N Gram is formed.  The residual
+cross-form is P1' P2, and no N x N Gram is formed.  A call pivots each
+variable once (:class:`scmdist.cache._CallRows`): the same factor's
+column blocks give the low-rank Woodbury solves of a variable without
+parents on each side.  The residual
 K - L L' is positive semi-definite with diagonal at most 1e-13, so each
 squared distance comes out low by at most 1e-13 (|w1|_1 + |w2|_1)^2.
 Past rank total N / 4 the forms use the dense Grams instead, one GEMM of
 the N x N Gram, built from the samples for each form, with M per side and
 couple (about 2 N^2 C flops).  A pairwise matrix computes each
-environment's weights, projections and self-forms once for all its pairs.
+environment's weights, projections and self-forms once for all its pairs,
+and pivots each variable once for all its environments.
 
 One reduction, :func:`_reduce`, serves every distance: it clamps to 0 a
 square at or above -1e-8 max(N1, N2) (below it raises NumericalError) and
@@ -49,7 +53,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cache import GramCache
+from .cache import GramCache, _CallRows
 from .dataset import Dataset
 from .embedding import EstimatorConfig, _side_weights
 from .errors import NumericalError, ValidationError
@@ -167,13 +171,13 @@ class _Side:
     """
 
     def __init__(self, g: Dag, data: Dataset, values: Mapping[str, Sequence[float]],
-                 terms: Sequence[tuple[str, str]], cfg: EstimatorConfig, cache: GramCache):
+                 terms: Sequence[tuple[str, str]], cfg: EstimatorConfig, rows: _CallRows):
         self.data = data
         width = len(values[terms[0][0]])
         descendants = {i: g.descendants(i) for i, _ in terms}
         reaching = sorted({i for i, j in terms if j in descendants[i]})
         weights = _side_weights(data, {i: (tuple(sorted(g.parents(i))), values[i])
-                                       for i in reaching}, cfg, cache)
+                                       for i in reaching}, cfg, rows)
         marginal = np.full((data.n, 1), 1.0 / data.n)
         sources: dict[str, list[str]] = {}
         for i, j in terms:
@@ -197,7 +201,7 @@ class _Side:
 
 def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
                pairs: Sequence[tuple[str, str]], combos, cfg: EstimatorConfig,
-               cache: GramCache) -> list[np.ndarray]:
+               rows: _CallRows) -> list[np.ndarray]:
     """Squared pair-term distances of every couple of sides, pairs x combinations.
 
     ``couples`` index into ``sides``, each in canonical dataset-id order, and
@@ -208,24 +212,15 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
     """
     first, second = combos
     out = [np.empty((len(pairs), len(first))) for _ in couples]
-    used = sorted(range(len(sides)), key=lambda s: sides[s].data.id)
+    every = range(len(sides))
 
     for j in sides[0].stacks:
-        # one block of L' per distinct sample column of V_j, so that sides
-        # with equal samples get equal projections
-        owners, block = [], {}
-        for s in used:
-            x = sides[s].data.column(j)
-            block[s] = next((b for b, o in enumerate(owners) if np.array_equal(o.column(j), x)),
-                            len(owners))
-            if block[s] == len(owners):
-                owners.append(sides[s].data)
-        rows = cache.rows(owners, j, cfg.kernel)
-        stacks = {s: sides[s].stacks[j][0] for s in used}
-        if rows is not None:
-            # K_ab ~ L_a L_b', so M_a' K_ab M_b ~ P_a' P_b with P_s = L_s' M_s
-            at = np.cumsum([0] + [d.n for d in owners])
-            proj = {s: rows[:, at[block[s]]:at[block[s] + 1]] @ stacks[s] for s in used}
+        stacks = {s: sides[s].stacks[j][0] for s in every}
+        blocks = {s: rows.block(sides[s].data, j) for s in every}
+        if blocks[0] is not None:
+            # K_ab ~ L_a L_b', so M_a' K_ab M_b ~ P_a' P_b with P_s = L_s' M_s;
+            # sides with equal samples share a block and get equal projections
+            proj = {s: blocks[s] @ stacks[s] for s in every}
 
             def form(a, b):
                 return _forms(proj[a], proj[b])
@@ -234,7 +229,7 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
                 k = gram_entries(sides[a].data.column(j), sides[b].data.column(j), cfg.kernel)
                 return _forms(stacks[a], k @ stacks[b])
 
-        norms = {s: np.diagonal(form(s, s)) for s in used}
+        norms = {s: np.diagonal(form(s, s)) for s in every}
         at_j = [p for p, (_, t) in enumerate(pairs) if t == j]
         for sq, (a, b) in zip(out, couples):
             r, c = sides[a].stacks[j][1][:, first], sides[b].stacks[j][1][:, second]
@@ -243,7 +238,7 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
 
 
 def _reduce(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
-            pairs: Sequence[tuple[str, str]], cfg: EstimatorConfig, cache: GramCache,
+            pairs: Sequence[tuple[str, str]], cfg: EstimatorConfig, rows: _CallRows,
             combos=([0], [0])) -> list[tuple[float, dict]]:
     """(distance, pair terms) of every couple of sides.
 
@@ -252,7 +247,7 @@ def _reduce(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
     pair term, and the distance, is the mean over them."""
     count = len(combos[0])
     out = []
-    squares = _sq_tables(sides, couples, pairs, combos, cfg, cache)
+    squares = _sq_tables(sides, couples, pairs, combos, cfg, rows)
     for (a, b), sq in zip(couples, squares):
         clamp = CLAMP_PER_SAMPLE * max(sides[a].data.n, sides[b].data.n)
         worst = sq.min(axis=1)
@@ -273,9 +268,10 @@ def _reduce(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
 def _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache) -> tuple[float, dict]:
     """(distance, pair terms) of two sides intervened at one value per variable."""
     g1, d1, v1, g2, d2, v2 = _canonical_order(g1, d1, v1, g2, d2, v2)
-    sides = [_Side(g, d, {i: [v.value_for(i)] for i, _ in pairs}, pairs, cfg, cache)
+    rows = _CallRows(cache, [d1, d2], cfg.kernel)
+    sides = [_Side(g, d, {i: [v.value_for(i)] for i, _ in pairs}, pairs, cfg, rows)
              for g, d, v in ((g1, d1, v1), (g2, d2, v2))]
-    [result] = _reduce(sides, [(0, 1)], pairs, cfg, cache)
+    [result] = _reduce(sides, [(0, 1)], pairs, cfg, rows)
     return result
 
 
@@ -302,7 +298,15 @@ def _check_same_variables(d1: Dataset, d2: Dataset, g1: Dag, g2: Dag):
         if other != names:
             raise ValidationError(f"variable sets of the {what} differ: "
                                   f"{sorted(names)} vs {sorted(other)}")
+    _check_two_variables(names)
     return sorted(names)
+
+
+def _check_two_variables(names) -> None:
+    # every pair term intervenes on one variable and measures another
+    if len(names) < 2:
+        raise ValidationError("SCMD-family distances need at least two variables, "
+                              f"got only {sorted(names)}")
 
 
 def _check_named(spec: InterventionSpec, names, where: str = "") -> None:
@@ -391,16 +395,16 @@ def e_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
         raise ValidationError(f"pairing must be 'grid' or 'paired', got {pairing!r}")
     names = _check_same_variables(d1, d2, g1, g2)
     pairs = [(i, j) for i in names for j in names if i != j]
-    cache = cache or GramCache()
     # the set of combinations is symmetric and every sum of the reduction is
     # an fsum, so the canonical swap of the two sides leaves the result unchanged
     ga, da, _, gb, db, _ = _canonical_order(g1, d1, None, g2, d2, None)
+    rows = _CallRows(cache or GramCache(), [da, db], cfg.kernel)
     sides = [_Side(g, d, {v: [d.quantile(v, q) for q in levels] for v in names},
-                   pairs, cfg, cache) for g, d in ((ga, da), (gb, db))]
+                   pairs, cfg, rows) for g, d in ((ga, da), (gb, db))]
     count = len(levels)
     combos = (np.divmod(np.arange(count * count), count) if pairing == "grid"
               else (np.arange(count),) * 2)
-    [(value, pair_terms)] = _reduce(sides, [(0, 1)], pairs, cfg, cache, combos)
+    [(value, pair_terms)] = _reduce(sides, [(0, 1)], pairs, cfg, rows, combos)
     return DistanceReport(
         value=value, pair_terms=pair_terms, dataset_ids=(d1.id, d2.id), kind="e-scmd",
         config_echo=_config_echo(cfg, levels=levels, pairing=pairing),
@@ -521,6 +525,7 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
 
     specs = {}
     if metric == "scmd":
+        _check_two_variables(g.nodes)
         for e in envs:
             if set(e.variable_names) != set(g.nodes):
                 raise ValidationError(
@@ -542,14 +547,14 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
     if metric == "mmd":
         results = [mmd_vstat(envs[r], envs[c], cfg.kernel) for r, c in pair_index]
     else:
-        cache = cache or GramCache()
+        rows = _CallRows(cache or GramCache(), envs, cfg.kernel)
         names = sorted(g.nodes)
         pairs = [(i, j) for i in names for j in names if i != j]
-        sides = [_Side(g, e, {i: [specs[e.id].value_for(i)] for i in names}, pairs, cfg, cache)
+        sides = [_Side(g, e, {i: [specs[e.id].value_for(i)] for i in names}, pairs, cfg, rows)
                  for e in envs]
         # each pair's cross-forms in canonical dataset-id order, as scmd does
         couples = [(r, c) if ids[r] < ids[c] else (c, r) for r, c in pair_index]
-        for (r, c), result in zip(pair_index, _reduce(sides, couples, pairs, cfg, cache)):
+        for (r, c), result in zip(pair_index, _reduce(sides, couples, pairs, cfg, rows)):
             reports[(ids[r], ids[c])] = _point_report(
                 "scmd", result, (ids[r], ids[c]), specs[ids[r]], specs[ids[c]], cfg)
         results = [report.value for report in reports.values()]

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cache import GramCache, _dense_factor, _hadamard
+from .cache import GramCache, _CallRows, _dense_factor, _hadamard
 from .dataset import Dataset
 from .errors import ValidationError
 from .kernel import KernelConfig, gram_entries, kernel_vector
@@ -67,24 +67,28 @@ def weight_columns(data: Dataset, i: str, z: tuple[str, ...], values: Sequence[f
     weights; otherwise the interventional weights for set ``z``.  All columns
     share one factor and one multi-right-hand-side solve.
     """
-    return _side_weights(data, {i: (z, values)}, cfg, cache or GramCache())[i]
+    rows = _CallRows(cache or GramCache(), [data], cfg.kernel)
+    return _side_weights(data, {i: (z, values)}, cfg, rows)[i]
 
 
 def _side_weights(data: Dataset, keys: Mapping[str, tuple[tuple[str, ...], Sequence[float]]],
-                  cfg: EstimatorConfig, cache: GramCache) -> dict[str, np.ndarray]:
+                  cfg: EstimatorConfig, rows: _CallRows) -> dict[str, np.ndarray]:
     """:func:`weight_columns` of one dataset for each variable i of ``keys``
-    (i -> adjustment set, values).  The keys without a low-rank factor build
-    each per-variable Gram they read once, form each joint Gram and K_Z @ 1/N
+    (i -> adjustment set, values).  A key with an empty adjustment set takes
+    the low-rank factor of ``rows``, if any.  The other keys build each
+    per-variable Gram they read once, form each joint Gram and K_Z @ 1/N
     from them in one step, and drop each after the last key that reads it."""
     kcfg, ridge, n = cfg.kernel, cfg.ridge_lambda, data.n
-    dense = [i for i, (z, _) in keys.items() if not cache._low_rank(data, (i,) + z, kcfg, ridge)]
+    low = {i: rows.factor(data, i, ridge) for i, (z, _) in keys.items() if not z}
+    dense = [i for i in keys if low.get(i) is None]
     uses = Counter(v for i in dense for v in (i,) + keys[i][0])
     grams, out = {}, {}
     for i, (z, values) in keys.items():
         if not z and n < 2:
             raise ValidationError("conditional weights need at least 2 samples")
         rhs = np.column_stack([kernel_vector(data.column(i), v, kcfg) for v in values])
-        if i in dense:
+        factor = low.get(i)
+        if factor is None:
             for v in (i,) + z:
                 if v not in grams:
                     grams[v] = gram_entries(data.column(v), data.column(v), kcfg)
@@ -96,8 +100,6 @@ def _side_weights(data: Dataset, keys: Mapping[str, tuple[tuple[str, ...], Seque
                 held = [held[0].copy()]  # the factor overwrites the Gram it takes
             factor = _dense_factor(data, (i,) + z, held, ridge)
             del held
-        else:
-            factor = cache.factor(data, (i,), kcfg, ridge)
         out[i] = factor.solve(rhs)
         del factor  # a dense factor holds N x N floats
         if not np.all(np.isfinite(out[i])):

@@ -215,6 +215,35 @@ def scmd_pair_terms_loop(g1, d1, v1, g2, d2, v2, cfg, cache=None) -> dict:
     return terms
 
 
+def pivoted_rows_copying(x: np.ndarray, bandwidth_sq: float, max_rank: int,
+                         tol: float = 1e-13):
+    """Pivoted Cholesky rows of the Gaussian Gram of ``x`` as the package built
+    them before it grew its buffer in place: each row is computed in a
+    temporary and stored, the buffer is copied into one twice its size as it
+    fills, and the result is copied once more.  The same ufunc sequence per
+    row, so the rows match the package's bit for bit; None past ``max_rank``."""
+    n = x.size
+    resid = np.ones(n)
+    rows = np.empty((min(max_rank, 16), n))
+    for k in range(max_rank):
+        p = int(np.argmax(resid))
+        if resid[p] <= tol:
+            return rows[:k].copy()
+        if k == rows.shape[0]:
+            grown = np.empty((min(max_rank, 2 * k), n))
+            grown[:k] = rows
+            rows = grown
+        col = x[p] - x
+        np.square(col, out=col)
+        col *= -1.0 / (2.0 * bandwidth_sq)
+        np.exp(col, out=col)
+        col -= rows[:k, p] @ rows[:k]
+        col /= math.sqrt(resid[p])
+        rows[k] = col
+        resid -= col * col
+    return rows if resid.max() <= tol else None
+
+
 def median_heuristic_outer(col, max_points: int) -> float:
     """Median of the squared pairwise differences, from the full outer
     difference matrix and its strict upper triangle, over the same evenly

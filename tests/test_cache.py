@@ -3,9 +3,11 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from scmdist import Dataset, EstimatorConfig, GramCache, KernelConfig, NumericalError, sample_m1
-from scmdist.cache import JITTER_FLOOR, CholFactor
+from scmdist.cache import JITTER_FLOOR, LOW_RANK_MAX_DIVISOR, CholFactor, _CallRows, _pivoted_rows
 from scmdist.embedding import weight_columns
 from scmdist.kernel import gram_entries
+
+from oracles import pivoted_rows_copying
 
 JITTER = 1e-10
 
@@ -109,6 +111,66 @@ def test_single_variable_factors_share_the_cached_rows_across_ridges(big, monkey
     ranks = {cache.factor(big, ("X",), kcfg, ridge).rank for ridge in (0.1, 0.5, 1.0)}
     assert ranks == {rows.shape[0]}
     assert len(pivots) == 1
+
+
+def fixture_y():
+    """The Y column of the acceptance fixture's M1(3) and M1(5) samples, joined."""
+    return np.concatenate([sample_m1(3, 1500, 1000).column("Y"),
+                           sample_m1(5, 1500, 2000).column("Y")])
+
+
+@pytest.mark.parametrize("bandwidth_sq", [1e-4, 0.1, 1.0])
+def test_pivoted_rows_match_the_copying_reference_bit_for_bit(bandwidth_sq):
+    x = fixture_y()
+    for cap in (x.size // LOW_RANK_MAX_DIVISOR, 40):
+        got = _pivoted_rows(x, bandwidth_sq, cap)
+        want = pivoted_rows_copying(x, bandwidth_sq, cap)
+        if want is None:
+            assert got is None
+        else:
+            assert got.flags.owndata and got.flags.c_contiguous
+            assert got.shape == want.shape and np.array_equal(got, want)
+    # narrow kernels are past the cap, wide ones within it
+    assert (_pivoted_rows(x, bandwidth_sq, x.size // LOW_RANK_MAX_DIVISOR) is None) == (
+        bandwidth_sq < 0.1)
+
+
+def test_pivoted_rows_grow_their_buffer_in_place():
+    import tracemalloc
+
+    x = fixture_y()
+    cap = x.size // LOW_RANK_MAX_DIVISOR
+    rank = _pivoted_rows(x, 0.1, cap).shape[0]
+    buffer = 16
+    while buffer < rank:
+        buffer = min(cap, 2 * buffer)
+    tracemalloc.start()
+    try:
+        _pivoted_rows(x, 0.1, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the copying reference peaks at about 1.6 times its final buffer
+    assert rank > 128 and peak < buffer * x.size * 8 + 2 ** 20
+
+
+def test_a_factor_on_a_block_of_joint_rows_solves_that_datasets_own_gram(big):
+    other = sample_m1(5, 1000, 401)
+    cache = GramCache()
+    kcfg = KernelConfig(0.1)
+    rows = _CallRows(cache, [other, big], kcfg)
+    joint = cache.rows(sorted([big, other], key=lambda d: d.id), "Y", kcfg)
+    for data in (big, other):  # the leading block and the one after it
+        x = data.column("Y")
+        gram = gram_entries(x, x, kcfg)
+        rhs = kernel_columns(x, np.quantile(x, [0.1, 0.5, 0.9]), 0.1)
+        for ridge in (0.1, 1.0):
+            factor = rows.factor(data, "Y", ridge)
+            assert factor.rank == joint.shape[0] <= data.n // LOW_RANK_MAX_DIVISOR
+            assert np.shares_memory(factor._factor[0], joint)  # a view, not a copy
+            dense = cho_solve(cho_factor(gram + (ridge + JITTER) * np.eye(data.n)), rhs)
+            assert np.max(np.abs(factor.solve(rhs) - dense)) <= 1e-10
+        assert rows.factor(data, "Y", 0.0) is None
 
 
 def count_builds(monkeypatch):

@@ -177,6 +177,25 @@ def test_mmd_command(tmp_path, capsys):
     assert 0.0 <= payload["value"] < 0.2
 
 
+def test_scmd_family_on_one_variable_is_a_validation_error(tmp_path, capsys):
+    rng = np.random.default_rng(72)
+    paths = [str(tmp_path / f"one{k}.csv") for k in range(2)]
+    for k, path in enumerate(paths):
+        save_dataset(Dataset({"X": rng.normal(size=40)}, id=f"one{k}"), path)
+    graph = tmp_path / "one.txt"
+    graph.write_text("X\n")
+    pair = ["--data1", paths[0], "--data2", paths[1], "--graph1", str(graph),
+            "--graph2", str(graph), "--sigma-sq", "0.5"]
+    for argv in (["scmd", *pair, "--policy", "mean"],
+                 ["pscmd", *pair, "--policy", "mean", "--target", "X"],
+                 ["escmd", *pair],
+                 ["pairwise", "--data", *paths, "--graph", str(graph), "--metric", "scmd"]):
+        assert main(argv) == 2, argv
+        assert "at least two variables, got only ['X']" in capsys.readouterr().err
+    assert main(["pairwise", "--data", *paths, "--graph", str(graph), "--metric", "mmd",
+                 "--sigma-sq", "0.5"]) == 0
+
+
 def test_median_heuristic_default_bandwidth(tmp_path, fwd_graph, capsys):
     p1, p3 = write_samples(tmp_path)
     assert main(["mmd", "--data1", p1, "--data2", p3]) == 0

@@ -345,6 +345,23 @@ def test_pairwise_validation():
                             interventions=interventions)
 
 
+def test_scmd_family_needs_two_variables():
+    one = Dag(["X"], [])
+    rng = np.random.default_rng(46)
+    d1 = Dataset({"X": rng.normal(size=50)}, id="one-a")
+    d2 = Dataset({"X": rng.normal(size=50)}, id="one-b")
+    calls = [lambda: scmd(one, d1, one, d2, {"X": 0.0}, {"X": 0.0}, CFG),
+             lambda: p_scmd(one, d1, one, d2, "X", {"X": 0.0}, {"X": 0.0}, CFG),
+             lambda: e_scmd(one, d1, one, d2, cfg=CFG),
+             lambda: pairwise_matrix([d1, d2], one, "scmd", CFG)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"at least two variables, got only \['X'\]"):
+            call()
+    # the joint MMD needs no pair of variables
+    m = pairwise_matrix([d1, d2], one, "mmd", CFG)
+    assert m.values[0, 1] == mmd_vstat(d1, d2, CFG.kernel) > 0.0
+
+
 def test_scmd_supports_unequal_sample_sizes():
     d1 = sample_m1(3, 300, 44)
     d2 = sample_m1(5, 450, 45)
@@ -505,6 +522,44 @@ def test_pairwise_matrix_factorizes_each_key_once(monkeypatch):
     assert len(set(labels)) == len(labels)
 
 
+def count_pivots(monkeypatch):
+    """(sample count, rank) of every pivoted Cholesky factor built from now on."""
+    import scmdist.cache as cache_mod
+
+    pivots = []
+    real = cache_mod._pivoted_rows
+
+    def counting(x, bandwidth_sq, max_rank):
+        out = real(x, bandwidth_sq, max_rank)
+        pivots.append((x.size, None if out is None else out.shape[0]))
+        return out
+
+    monkeypatch.setattr(cache_mod, "_pivoted_rows", counting)
+    return pivots
+
+
+def test_each_call_pivots_each_variable_once(monkeypatch):
+    pivots = count_pivots(monkeypatch)
+    d1, d3 = sample_m1(3, 600, 88), sample_m2(3, 600, 89)
+    cfg = EstimatorConfig(kernel=KernelConfig(0.1), ridge_lambda=0.5)
+    # each graph's root reaches the other variable: its solves and both
+    # targets' forms read the rows over both datasets
+    scmd(FWD, d1, REV, d3, UNIT, UNIT, cfg)
+    assert [n for n, _ in pivots] == [1200, 1200]
+    assert all(r is not None and r <= 600 // 4 for _, r in pivots)
+    pivots.clear()
+    g = sachs_expert_graph()
+    rng = np.random.default_rng(90)
+    envs = []
+    for k in range(4):
+        coeffs = {e: float(rng.uniform(0.5, 1.0)) for e in sorted(g.edges)}
+        model = LinearGaussianScm(g, coeffs, {v: 1.0 for v in g.nodes})
+        envs.append(sample_scm(model, 200, 90 + k, id=f"env{k}"))
+    pairwise_matrix(envs, g, "scmd", EstimatorConfig(kernel=KernelConfig(1.0)),
+                    cache=GramCache(capacity=2))
+    assert [n for n, _ in pivots] == [800] * len(g.nodes)
+
+
 def _union_rows(cache, datasets, j, kcfg):
     # the cached low-rank rows of V_j over the datasets, in canonical id order
     return cache.rows(sorted(datasets, key=lambda d: d.id), j, kcfg)
@@ -614,7 +669,7 @@ def test_pairwise_matrix_caches_no_n_by_n_array(monkeypatch):
     for k in range(3):
         coeffs = {e: float(rng.uniform(0.5, 1.0)) for e in sorted(g.edges)}
         model = LinearGaussianScm(g, coeffs, {v: 1.0 for v in g.nodes})
-        envs.append(sample_scm(model, 60, 70 + k, id=f"sachs-{k}"))
+        envs.append(sample_scm(model, (60, 100, 100)[k], 70 + k, id=f"sachs-{k}"))
     cfg = EstimatorConfig(kernel=KernelConfig(1.0))
     cache = GramCache(capacity=64)
     m = pairwise_matrix(envs, g, "scmd", cfg, cache=cache)
@@ -623,9 +678,13 @@ def test_pairwise_matrix_caches_no_n_by_n_array(monkeypatch):
             for e in envs}
 
     def dense(e, key):
-        # one variable with a positive ridge is low-rank unless past rank N/4
-        return len(key) > 1 or _pivoted_rows(e.column(key[0]), 1.0,
-                                             e.n // LOW_RANK_MAX_DIVISOR) is None
+        # one variable with a positive ridge is low-rank when the rank of its
+        # rows over every environment's samples is within this one's N/4
+        if len(key) > 1:
+            return True
+        x = np.concatenate([f.column(key[0]) for f in envs])
+        rows = _pivoted_rows(x, 1.0, x.size // LOW_RANK_MAX_DIVISOR)
+        return rows is None or rows.shape[0] > e.n // LOW_RANK_MAX_DIVISOR
 
     expected = sorted((e.id, v) for e in envs
                       for v in {v for key in keys[e.id] if dense(e, key) for v in key})

@@ -19,7 +19,7 @@ from scmdist import (
     sample_scm,
     LinearGaussianScm,
 )
-from scmdist.cache import JITTER_FLOOR
+from scmdist.cache import JITTER_FLOOR, _CallRows
 from scmdist.distance import _Side
 from scmdist.embedding import weight_columns
 
@@ -117,7 +117,8 @@ def test_interventional_equals_average_of_per_sample_conditionals():
 def _side_column(g, d, i, j, v, cfg):
     """The planner's weight column of do(V_i = v) on V_j for one side."""
     values = {name: [v] for name in d.variable_names}
-    stack, cols = _Side(g, d, values, [(i, j)], cfg, GramCache()).stacks[j]
+    rows = _CallRows(GramCache(), [d], cfg.kernel)
+    stack, cols = _Side(g, d, values, [(i, j)], cfg, rows).stacks[j]
     return stack[:, cols[0, 0]]
 
 
