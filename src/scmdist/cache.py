@@ -14,9 +14,9 @@ holds a view of its dataset's block, shared by every ridge, and solves
 through the Woodbury identity (Fine & Scheinberg 2001) in 4 N r flops per
 right-hand side.  Joint Grams over several variables, a zero ridge (the
 Woodbury identity divides by it) and ranks above N/4 take a dense N^3/3
-Cholesky factor of the entrywise product of per-variable Grams, built by
-:func:`_dense_factor` and never cached: no N x N array is a cache entry.
-Every factor adds JITTER_FLOOR.
+Cholesky factor of the entrywise product of per-variable Grams
+(:func:`_hadamard`); :mod:`scmdist.embedding` builds one per key and never
+caches it: no N x N array is a cache entry.  Every factor adds JITTER_FLOOR.
 
 The package itself runs serially.  Lookups and construction are still
 serialized by one re-entrant lock per cache, so a cache shared across the
@@ -40,7 +40,7 @@ from numpy.linalg import LinAlgError
 
 from .dataset import Dataset
 from .errors import NumericalError, ValidationError
-from .kernel import KernelConfig, _gaussian_of_differences, gram_entries
+from .kernel import KernelConfig, _gaussian_of_differences
 
 __all__ = ["GramCache", "CholFactor"]
 
@@ -60,19 +60,21 @@ def _pivoted_rows(x: np.ndarray, bandwidth_sq: float, max_rank: int) -> np.ndarr
 
     Each pivot's Gram row is computed from the samples straight into its slot
     of the row buffer when it is chosen, so no N x N Gram is formed.  The
-    buffer doubles in place as it fills and is trimmed in place at the end
-    (``ndarray.resize``, which refuses while any view of it is alive).
+    buffer doubles in place as it fills and is trimmed in place at the end.
     """
     n = x.size
     resid = np.ones(n)  # the Gaussian kernel's diagonal
     rows = np.empty((min(max_rank, 16), n))
     for k in range(max_rank):
         p = int(np.argmax(resid))
+        # ``del col`` below leaves no view of the buffer alive at a resize.
+        # numpy's reference check would also count the frame's locals dict
+        # that a trace or profile hook holds, and refuse, so it is off.
         if resid[p] <= LOW_RANK_TOL:
-            rows.resize((k, n))
+            rows.resize((k, n), refcheck=False)
             return rows
         if k == rows.shape[0]:
-            rows.resize((min(max_rank, 2 * k), n))
+            rows.resize((min(max_rank, 2 * k), n), refcheck=False)
         col = _gaussian_of_differences(np.subtract(x[p], x, out=rows[k]), bandwidth_sq)
         col -= rows[:k, p] @ rows[:k]
         col /= math.sqrt(resid[p])
@@ -147,14 +149,6 @@ def _hadamard(grams: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _dense_factor(data: Dataset, variables: tuple[str, ...], grams: Sequence[np.ndarray],
-                  ridge: float) -> CholFactor:
-    """Factor of the product of ``grams``, the Grams of ``variables``, plus
-    ridge: it takes the product (or a single Gram) over and factors it in place."""
-    return CholFactor(_hadamard(grams), ridge, JITTER_FLOOR,
-                      f"variables {list(variables)!r} of dataset {data.id!r}")
-
-
 class GramCache:
     """LRU cache of low-rank rows and low-rank factors over registered datasets."""
 
@@ -206,22 +200,6 @@ class GramCache:
             return out
 
         return self._get_or_build(key, build)
-
-    def factor(self, data: Dataset, variables: tuple[str, ...], kcfg: KernelConfig,
-               ridge: float) -> CholFactor:
-        """Factor of the joint Gram over ``variables`` plus ridge and JITTER_FLOOR.
-
-        One variable with a positive ridge takes the cached low-rank rows of
-        :meth:`rows`, which every ridge shares, and the factor is cached.
-        Otherwise, or past the rows' rank cap, it is a dense factor, not
-        cached, of Grams built from the samples.
-        """
-        if len(variables) == 1:
-            low = _CallRows(self, [data], kcfg).factor(data, variables[0], ridge)
-            if low is not None:
-                return low
-        grams = [gram_entries(data.column(v), data.column(v), kcfg) for v in variables]
-        return _dense_factor(data, variables, grams, ridge)
 
 
 class _CallRows:

@@ -32,8 +32,6 @@ from .io import load_dataset, load_graph, render_report, save_dataset
 from .kernel import KernelConfig, median_heuristic
 from .synth import LinearGaussianScm, sample_m1, sample_m2, sample_scm
 
-DEFAULT_COST_BUDGET = 2e14
-
 
 class _UsageError(Exception):
     pass
@@ -60,8 +58,6 @@ def _add_estimator_options(p):
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="result format (default json)")
-    p.add_argument("--cost-budget", type=float, default=DEFAULT_COST_BUDGET,
-                   help="warn when predicted d^3*N^3 work exceeds this")
 
 
 def _add_interventions(p):
@@ -157,15 +153,6 @@ def _estimator_config(args, datasets) -> EstimatorConfig:
     return EstimatorConfig(kernel=kcfg, ridge_lambda=args.lam)
 
 
-def _cost_guardrail(n_max: int, d: int, budget: float):
-    predicted = (d ** 3) * float(n_max) ** 3
-    print(f"scmdist: predicted work ~ d^3*N^3 = {predicted:.2e} kernel-solve ops "
-          f"(d={d}, N={n_max})", file=sys.stderr)
-    if predicted > budget:
-        print(f"scmdist: warning: predicted work exceeds budget {budget:.2e}; "
-              f"this may take a long time", file=sys.stderr)
-
-
 def _specs_for(args, d1: Dataset, d2: Dataset):
     if args.policy == "mean":
         return InterventionSpec.from_means(d1), InterventionSpec.from_means(d2)
@@ -209,7 +196,6 @@ def _run_pair_command(args) -> int:
         return 0
     g1 = load_graph(args.graph1, nodes=d1.variable_names)
     g2 = load_graph(args.graph2, nodes=d2.variable_names)
-    _cost_guardrail(max(d1.n, d2.n), len(d1.variable_names), args.cost_budget)
     if args.command == "scmd":
         v1, v2 = _specs_for(args, d1, d2)
         report = scmd(g1, d1, g2, d2, v1, v2, cfg)
@@ -230,7 +216,6 @@ def _run_pairwise(args) -> int:
     envs = _load_datasets(args.data)
     g = load_graph(args.graph, nodes=envs[0].variable_names)
     cfg = _estimator_config(args, envs)
-    _cost_guardrail(max(e.n for e in envs), len(envs[0].variable_names), args.cost_budget)
     interventions = None
     if args.policy == "user":
         interventions = {}

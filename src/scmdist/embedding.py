@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cache import GramCache, _CallRows, _dense_factor, _hadamard
+from .cache import JITTER_FLOOR, CholFactor, GramCache, _CallRows, _hadamard
 from .dataset import Dataset
 from .errors import ValidationError
 from .kernel import KernelConfig, gram_entries, kernel_vector
@@ -98,7 +98,8 @@ def _side_weights(data: Dataset, keys: Mapping[str, tuple[tuple[str, ...], Seque
                 rhs *= (_hadamard(held[1:]) @ np.full(n, 1.0 / n))[:, None]
             elif uses[i]:
                 held = [held[0].copy()]  # the factor overwrites the Gram it takes
-            factor = _dense_factor(data, (i,) + z, held, ridge)
+            factor = CholFactor(_hadamard(held), ridge, JITTER_FLOOR,
+                                f"variables {[i, *z]!r} of dataset {data.id!r}")
             del held
         out[i] = factor.solve(rhs)
         del factor  # a dense factor holds N x N floats

@@ -94,10 +94,10 @@ def kernel_vector(col, value: float, cfg: KernelConfig) -> np.ndarray:
     return np.exp(-(d * d) / (2.0 * cfg.bandwidth_sq))
 
 
-def median_heuristic(col, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS) -> KernelConfig:
+def median_heuristic(col) -> KernelConfig:
     """Default bandwidth: median of squared pairwise differences.
 
-    Uses a deterministic evenly strided subsample of at most ``max_points``
+    Uses a deterministic evenly strided subsample of at most MEDIAN_HEURISTIC_MAX_POINTS
     points.  The median is selected exactly, without forming all
     n(n - 1)/2 differences of the n subsampled points.  Sorted, the points
     make each row of differences ``b[j] - b[i]`` (j > i) nondecreasing, so
@@ -112,13 +112,11 @@ def median_heuristic(col, max_points: int = MEDIAN_HEURISTIC_MAX_POINTS) -> Kern
     the squared differences bit for bit.  Raises when the median is 0 (no
     usable scale; pass an explicit bandwidth).
     """
-    if max_points < 2:
-        raise ValidationError(f"max_points must be at least 2, got {max_points!r}")
     a = _as_clean_column(col, "column")
     if a.size < 2:
         raise ValidationError("median heuristic needs at least 2 values")
-    if a.size > max_points:
-        idx = np.linspace(0, a.size - 1, max_points).round().astype(int)
+    if a.size > MEDIAN_HEURISTIC_MAX_POINTS:
+        idx = np.linspace(0, a.size - 1, MEDIAN_HEURISTIC_MAX_POINTS).round().astype(int)
         a = a[idx]
     b = np.sort(a)
     n_pairs = b.size * (b.size - 1) // 2

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from scmdist import Dataset, EstimatorConfig, GramCache, KernelConfig, NumericalError, sample_m1
+from scmdist import (Dag, Dataset, EstimatorConfig, GramCache, InterventionSpec, KernelConfig,
+                     NumericalError, pairwise_matrix, sample_m1, scmd)
 from scmdist.cache import JITTER_FLOOR, LOW_RANK_MAX_DIVISOR, CholFactor, _CallRows, _pivoted_rows
 from scmdist.embedding import weight_columns
 from scmdist.kernel import gram_entries
@@ -30,7 +31,7 @@ def test_low_rank_solve_matches_dense_cho_solve(big, bandwidth_sq):
         gram = gram_entries(x, x, kcfg)
         rhs = kernel_columns(x, np.quantile(x, [0.1, 0.5, 0.9]), bandwidth_sq)
         for ridge in (0.1, 0.5, 1.0):
-            factor = cache.factor(big, (var,), kcfg, ridge)
+            factor = _CallRows(cache, [big], kcfg).factor(big, var, ridge)
             assert isinstance(factor.rank, int) and factor.rank <= big.n // 4
             assert factor.jitter_used == JITTER
             dense = cho_solve(cho_factor(gram + (ridge + JITTER) * np.eye(big.n)), rhs)
@@ -40,21 +41,23 @@ def test_low_rank_solve_matches_dense_cho_solve(big, bandwidth_sq):
 def test_dense_factor_for_joint_key_zero_ridge_and_high_rank(big):
     cache = GramCache()
     kcfg = KernelConfig(1.0)
-    assert cache.factor(big, ("X",), kcfg, 0.5).rank is not None
-    joint = cache.factor(big, ("Y", "X"), kcfg, 0.5)
-    assert joint.rank is None
-    assert cache.factor(big, ("X",), kcfg, 0.0).rank is None
+    rows = _CallRows(cache, [big], kcfg)
+    assert rows.factor(big, "X", 0.5).rank is not None
+    assert rows.factor(big, "X", 0.0) is None  # a zero ridge takes the dense path
     x, y = big.column("X"), big.column("Y")
     gram = gram_entries(y, y, kcfg) * gram_entries(x, x, kcfg)
+    joint = CholFactor(gram.copy(), 0.5, JITTER_FLOOR, "joint (Y, X)")
+    assert joint.rank is None
     rhs = kernel_columns(y, [0.0, 2.0], 1.0)
     dense = cho_solve(cho_factor(gram + (0.5 + JITTER) * np.eye(big.n)), rhs)
     assert np.max(np.abs(joint.solve(rhs) - dense)) <= 1e-10
     # a narrow kernel leaves too many columns for a rank at most N/4
     d = sample_m1(3, 400, 401)
     narrow = KernelConfig(1e-4)
-    factor = cache.factor(d, ("X",), narrow, 0.5)
-    assert factor.rank is None
+    assert _CallRows(cache, [d], narrow).factor(d, "X", 0.5) is None
     gram = gram_entries(d.column("X"), d.column("X"), narrow)
+    factor = CholFactor(gram.copy(), 0.5, JITTER_FLOOR, "narrow X")
+    assert factor.rank is None
     rhs = kernel_columns(d.column("X"), [0.0, 1.0], 1e-4)
     dense = cho_solve(cho_factor(gram + (0.5 + JITTER) * np.eye(d.n)), rhs)
     assert np.max(np.abs(factor.solve(rhs) - dense)) <= 1e-12
@@ -63,7 +66,9 @@ def test_dense_factor_for_joint_key_zero_ridge_and_high_rank(big):
 def test_zero_ridge_keeps_jitter_escalation_and_its_error():
     # a constant column has the all-ones Gram, singular without jitter
     d = Dataset({"X": np.ones(30)}, id="constant")
-    factor = GramCache().factor(d, ("X",), KernelConfig(1.0), 0.0)
+    assert _CallRows(GramCache(), [d], KernelConfig(1.0)).factor(d, "X", 0.0) is None
+    gram = gram_entries(d.column("X"), d.column("X"), KernelConfig(1.0))
+    factor = CholFactor(gram, 0.0, JITTER_FLOOR, "constant X")
     assert factor.rank is None and factor.jitter_used == 1e-10
     # started at zero, the all-ones matrix fails and escalates to the floor
     assert CholFactor(np.ones((30, 30)), 0.0, 0.0, "all ones").jitter_used == 1e-10
@@ -90,7 +95,7 @@ def test_low_rank_weights_vanish_under_huge_ridge(big):
     cfg = EstimatorConfig(kernel=KernelConfig(0.5), ridge_lambda=1e12)
     cache = GramCache()
     w = weight_columns(big, "X", (), [-1.0, 0.0, 1.0], cfg, cache)
-    assert cache.factor(big, ("X",), cfg.kernel, 1e12).rank is not None
+    assert _CallRows(cache, [big], cfg.kernel).factor(big, "X", 1e12).rank is not None
     assert np.all(np.abs(w) < 1e-9)
 
 
@@ -108,7 +113,8 @@ def test_single_variable_factors_share_the_cached_rows_across_ridges(big, monkey
     cache = GramCache()
     kcfg = KernelConfig(1.0)
     rows = cache.rows([big], "X", kcfg)
-    ranks = {cache.factor(big, ("X",), kcfg, ridge).rank for ridge in (0.1, 0.5, 1.0)}
+    ranks = {_CallRows(cache, [big], kcfg).factor(big, "X", ridge).rank
+             for ridge in (0.1, 0.5, 1.0)}
     assert ranks == {rows.shape[0]}
     assert len(pivots) == 1
 
@@ -154,6 +160,46 @@ def test_pivoted_rows_grow_their_buffer_in_place():
     assert rank > 128 and peak < buffer * x.size * 8 + 2 ** 20
 
 
+def _under_hook(hook, run):
+    """``run()`` with a profile or trace hook installed, then removed."""
+    import cProfile
+    import sys
+
+    def trace(frame, event, arg):
+        return trace  # line events too: the hook reads every frame's locals
+
+    if hook == "cProfile":
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            return run()
+        finally:
+            profiler.disable()
+    install = getattr(sys, hook)
+    install(trace)
+    try:
+        return run()
+    finally:
+        install(None)
+
+
+@pytest.mark.parametrize("hook", ["setprofile", "settrace", "cProfile"])
+def test_distances_keep_their_bits_under_a_profile_or_trace_hook(hook):
+    # ranks 21 and 46 at N = 200: the row buffer doubles and is trimmed
+    g = Dag(["X", "Y"], [("X", "Y")])
+    d1, d2 = sample_m1(3, 200, 410), sample_m1(5, 200, 411)
+    cfg = EstimatorConfig(kernel=KernelConfig(1.0), ridge_lambda=0.5)
+    spec = InterventionSpec({"X": 0.5, "Y": 1.0})
+
+    def run():
+        return (scmd(g, d1, g, d2, spec, spec, cfg).value,
+                pairwise_matrix([d1, d2], g, "scmd", cfg).values)
+
+    plain = run()
+    hooked = _under_hook(hook, run)
+    assert plain[0] == hooked[0] and np.array_equal(plain[1], hooked[1])
+
+
 def test_a_factor_on_a_block_of_joint_rows_solves_that_datasets_own_gram(big):
     other = sample_m1(5, 1000, 401)
     cache = GramCache()
@@ -192,9 +238,9 @@ def test_a_factor_hit_builds_nothing(monkeypatch):
     built = count_builds(monkeypatch)
     d = sample_m1(3, 200, 403)
     cache = GramCache(capacity=3)
-    first = cache.factor(d, ("X",), KernelConfig(1.0), 0.5)
+    first = _CallRows(cache, [d], KernelConfig(1.0)).factor(d, "X", 0.5)
     assert [k[0] for k in built] == ["rows", "chol"]
-    assert cache.factor(d, ("X",), KernelConfig(1.0), 0.5) is first
+    assert _CallRows(cache, [d], KernelConfig(1.0)).factor(d, "X", 0.5) is first
     assert len(built) == 2
 
 
@@ -207,8 +253,8 @@ def test_nested_builds_under_threads_build_each_key_once(monkeypatch):
     cache = GramCache(capacity=4)
     kcfg = KernelConfig(1.0)
     # each factor lookup looks up the rows its build reads
-    calls = [lambda: cache.factor(d, ("X",), kcfg, 0.5),
-             lambda: cache.factor(d, ("X",), kcfg, 1.0),
+    calls = [lambda: _CallRows(cache, [d], kcfg).factor(d, "X", 0.5),
+             lambda: _CallRows(cache, [d], kcfg).factor(d, "X", 1.0),
              lambda: cache.rows([d], "X", kcfg)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

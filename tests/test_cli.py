@@ -309,16 +309,6 @@ def test_pairwise_addresses_an_environment_id_containing_a_colon(tmp_path, fwd_g
     assert "unknown environments ['b']" in capsys.readouterr().err
 
 
-def test_cost_guardrail_warns(tmp_path, fwd_graph, capsys):
-    p1, p3 = write_samples(tmp_path)
-    assert main(["scmd", "--data1", p1, "--data2", p3, "--graph1", fwd_graph,
-                 "--graph2", fwd_graph, "--sigma-sq", "0.1", "--policy", "mean",
-                 "--cost-budget", "1"]) == 0
-    err = capsys.readouterr().err
-    assert "predicted work" in err
-    assert "exceeds budget" in err
-
-
 def test_out_flag_writes_file(tmp_path, fwd_graph):
     p1, p3 = write_samples(tmp_path)
     out = tmp_path / "result.json"
@@ -388,8 +378,7 @@ def test_pairwise_help_documents_the_shared_options(capsys):
     for help_text in ("Gaussian kernel variance (default: median heuristic)",
                       "ridge regularization (default 0.5)",
                       "write the result here instead of stdout",
-                      "result format (default json)",
-                      "warn when predicted d^3*N^3 work exceeds this"):
+                      "result format (default json)"):
         assert help_text in text
 
 
@@ -400,7 +389,8 @@ def test_pairwise_help_documents_the_shared_options(capsys):
     ("mmd", ["--jitter", "1e-10"]),
     ("pairwise", ["--jitter", "1e-10"]),
     ("pairwise", ["--threads", "2"]),
-], ids=["scmd", "pscmd", "escmd", "mmd", "pairwise", "pairwise-threads"])
+    ("scmd", ["--cost-budget", "1"]),
+], ids=["scmd", "pscmd", "escmd", "mmd", "pairwise", "pairwise-threads", "scmd-cost-budget"])
 def test_jitter_flag_is_a_usage_error(tmp_path, fwd_graph, command, removed, capsys):
     p1, p3 = write_samples(tmp_path)
     pair = ["--data1", p1, "--data2", p3]

@@ -196,7 +196,7 @@ def test_cache_rejects_id_reuse():
     with pytest.raises(ValidationError):
         cache.rows([d2], "X", KernelConfig(1.0))
     with pytest.raises(ValidationError):
-        cache.factor(d2, ("X",), KernelConfig(1.0), 0.5)
+        _CallRows(cache, [d2], KernelConfig(1.0)).factor(d2, "X", 0.5)
 
 
 def count_pivotings(monkeypatch):

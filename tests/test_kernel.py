@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -148,17 +147,6 @@ def test_median_heuristic_zero_median_error_counts_the_equal_pairs():
         median_heuristic(col)
 
 
-@pytest.mark.parametrize("max_points", [1, 0, -3])
-def test_median_heuristic_rejects_max_points_below_two(max_points):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="max_points must be at least 2"):
-            median_heuristic(np.arange(10.0), max_points)
-        # checked before the column
-        with pytest.raises(ValidationError, match="max_points"):
-            median_heuristic([], max_points)
-
-
 def test_median_heuristic_subsample_deterministic():
     rng = np.random.default_rng(7)
     col = rng.normal(size=5000)
@@ -180,9 +168,8 @@ def test_median_heuristic_bitwise_equals_outer_difference_formula():
     cols.append(rng.standard_cauchy(size=1000))
     cols.append(-3.0 - rng.exponential(size=700))
     for col in cols:
-        for max_points in (MEDIAN_HEURISTIC_MAX_POINTS, 50):
-            got = median_heuristic(col, max_points).bandwidth_sq
-            assert got == median_heuristic_outer(col, max_points)
+        got = median_heuristic(col).bandwidth_sq
+        assert got == median_heuristic_outer(col, MEDIAN_HEURISTIC_MAX_POINTS)
 
 
 def test_first_failing_counts_the_computed_differences():
