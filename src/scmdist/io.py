@@ -2,7 +2,8 @@
 
 Formats:
   datasets   strict CSV, mandatory header of unique variable names, numeric
-             finite body, comma separator, '.' decimal point, UTF-8
+             finite body, comma separator, '.' decimal point, UTF-8 (a
+             leading byte-order mark is skipped)
   graphs     edge-list text: one ``parent -> child`` per line, ``#`` comments,
              bare names declare isolated nodes
   reports    JSON (deterministic key order) or CSV (pairwise matrices carry a
@@ -10,6 +11,18 @@ Formats:
 
 All parsing is strict: malformed input raises with the offending line/cell
 rather than being coerced.
+
+``save_dataset`` writes each cell as the float's shortest round-trip
+``repr``, ends every line with ``\r\n`` and quotes the header by csv rules
+(a name holding a comma, a quote or a line break), so ``load_dataset`` reads
+back the same names and the same values bit for bit.  Each writer refuses,
+with ``ValidationError``, the names its reader would not read back:
+  save_dataset   an empty name, a name with leading or trailing whitespace,
+                 and a first name that begins with U+FEFF (read as a
+                 byte-order mark)
+  save_graph     an empty name, a name with leading or trailing whitespace,
+                 a name holding ``#``, ``->`` or a line break, and an
+                 isolated node whose name holds whitespace
 """
 
 from __future__ import annotations
@@ -38,11 +51,14 @@ __all__ = [
     "sachs_expert_graph",
 ]
 
+# rows formatted and written per write call: the temporaries stay O(block)
+_ROWS_PER_BLOCK = 256
+
 
 def load_dataset(path, id: str | None = None) -> Dataset:
     """Read a dataset from CSV; the id defaults to the file stem."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -77,13 +93,25 @@ def load_dataset(path, id: str | None = None) -> Dataset:
 
 def save_dataset(data: Dataset, path) -> None:
     """Write a dataset as CSV at full float precision."""
-    path = Path(path)
+    names = data.variable_names
+    for name in names:
+        if not name or name != name.strip():
+            raise ValidationError(
+                f"variable name {name!r} is empty or has surrounding whitespace, "
+                f"which load_dataset strips")
+    if names[0].startswith("\ufeff"):
+        raise ValidationError(
+            f"first variable name {names[0]!r} begins with U+FEFF, "
+            f"which load_dataset reads as a byte-order mark")
+    cols = [data.column(v) for v in names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.variable_names)
-        cols = [data.column(v) for v in data.variable_names]
-        for idx in range(data.n):
-            writer.writerow([repr(float(c[idx])) for c in cols])
+        csv.writer(fh).writerow(names)
+        # a finite float's repr holds no character csv would quote, and
+        # csv.writer ends its lines with \r\n: the bytes of a per-row writer
+        for start in range(0, data.n, _ROWS_PER_BLOCK):
+            cells = [map(repr, c[start:start + _ROWS_PER_BLOCK].tolist()) for c in cols]
+            fh.write("\r\n".join(map(",".join, zip(*cells))))
+            fh.write("\r\n")
 
 
 def load_graph(path, nodes=None) -> Dag:
@@ -128,13 +156,20 @@ def load_graph(path, nodes=None) -> Dag:
 
 
 def save_graph(g: Dag, path) -> None:
-    path = Path(path)
+    """Write an edge-list graph file that ``load_graph`` reads back as ``g``."""
+    linked = {n for edge in g.edges for n in edge}
+    for n in g.nodes:
+        if not n or n != n.strip() or any(s in n for s in ("#", "->", "\n", "\r")):
+            raise ValidationError(
+                f"node name {n!r} is empty, has surrounding whitespace, or holds "
+                f"'#', '->' or a line break, which load_graph cannot read back")
+        if n not in linked and any(ch.isspace() for ch in n):
+            raise ValidationError(
+                f"isolated node name {n!r} holds whitespace, which load_graph "
+                f"cannot read back")
     with open(path, "w", encoding="utf-8") as fh:
-        linked = set()
         for u, v in sorted(g.edges):
             fh.write(f"{u} -> {v}\n")
-            linked.add(u)
-            linked.add(v)
         for n in g.nodes:
             if n not in linked:
                 fh.write(f"{n}\n")

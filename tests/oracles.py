@@ -8,6 +8,7 @@ package's algorithms.
 
 from __future__ import annotations
 
+import csv
 import functools
 import math
 
@@ -253,6 +254,17 @@ def median_heuristic_outer(col, max_points: int) -> float:
         a = a[np.linspace(0, a.size - 1, max_points).round().astype(int)]
     diff_sq = np.subtract.outer(a, a) ** 2
     return float(np.median(diff_sq[np.triu_indices(a.size, k=1)]))
+
+
+def save_dataset_rowwise(data, path) -> None:
+    """The per-row ``csv.writer`` dataset writer: one ``writerow`` per
+    observation, every cell formatted by its own ``repr(float(...))``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data.variable_names)
+        cols = [data.column(v) for v in data.variable_names]
+        for idx in range(data.n):
+            writer.writerow([repr(float(c[idx])) for c in cols])
 
 
 def mmd_vstat_naive(a: np.ndarray, b: np.ndarray, bandwidth_sq: float) -> float:

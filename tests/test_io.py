@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from scmdist import (
+    Dag,
     Dataset,
     DistanceReport,
     PairwiseMatrix,
@@ -18,7 +20,9 @@ from scmdist import (
     save_graph,
     write_report,
 )
-from scmdist.io import render_report
+from scmdist.io import _ROWS_PER_BLOCK, render_report
+
+from oracles import save_dataset_rowwise
 
 
 def test_load_dataset_well_formed(tmp_path):
@@ -65,6 +69,55 @@ def test_dataset_round_trip_full_precision(tmp_path):
         assert np.array_equal(back.column(v), d.column(v))
 
 
+def test_save_dataset_bytes_match_the_rowwise_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    edge = [-0.0, 5e-324, 1e16, 1e22, 1 / 3, sys.float_info.max, -sys.float_info.max,
+            0.1, -2.5e-308, 123456789.0]
+    cases = {
+        "edge": Dataset({"X": edge, "Y": edge[::-1]}),
+        "one_row": Dataset({"X": [1 / 3], "Y": [-0.0], "Z": [1e22]}),
+        "one_column": Dataset({"X": rng.normal(size=7)}),
+        "blocks": Dataset({f"V{k}": rng.normal(scale=10.0 ** (k - 5), size=2 * _ROWS_PER_BLOCK + 3)
+                           for k in range(11)}),
+        "quoted": Dataset({"a,b": [1.0, 2.0], 'say "hi"': [3.0, 4.0], "two\nlines": [5.0, 6.0],
+                           "plain": [7.0, 8.0]}),
+    }
+    for name, d in cases.items():
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+        save_dataset(d, got)
+        save_dataset_rowwise(d, want)
+        assert got.read_bytes() == want.read_bytes(), name
+        back = load_dataset(got)
+        assert back.variable_names == d.variable_names, name
+        for v in d.variable_names:  # bit for bit, -0.0 included
+            assert [x.hex() for x in back.column(v).tolist()] == \
+                   [x.hex() for x in d.column(v).tolist()], (name, v)
+
+
+def test_save_dataset_refuses_names_load_dataset_would_change(tmp_path):
+    # each would write a file that reads back renamed, or not at all
+    for names, bad in (([" X", "Y"], " X"), (["X", "Y\t"], "Y\t"), (["X", ""], ""),
+                       (["\ufeffX", "Y"], "\ufeffX")):
+        d = Dataset({n: [1.0, 2.0] for n in names}, variable_names=names)
+        p = tmp_path / "bad.csv"
+        with pytest.raises(ValidationError) as err:
+            save_dataset(d, p)
+        assert repr(bad) in str(err.value)
+        assert not p.exists()
+    # the same names, trimmed, round-trip; a BOM past the first column is kept
+    d = Dataset({"X": [1.0, 2.0], "\ufeffY": [3.0, 4.0], "a b": [5.0, 6.0]})
+    save_dataset(d, tmp_path / "ok.csv")
+    assert load_dataset(tmp_path / "ok.csv").variable_names == d.variable_names
+
+
+def test_load_dataset_skips_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfX,Y\r\n1,2\r\n3,4\r\n")
+    d = load_dataset(p)
+    assert d.variable_names == ("X", "Y")
+    assert np.array_equal(d.column("X"), [1.0, 3.0])
+
+
 def test_load_graph_two_node_chain(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# comment line\nX -> Y\n")
@@ -102,6 +155,28 @@ def test_graph_round_trip(tmp_path):
     p = tmp_path / "sachs.txt"
     save_graph(g, p)
     assert load_graph(p, nodes=g.nodes) == g
+
+
+def test_save_graph_refuses_names_load_graph_would_misread(tmp_path):
+    bad = {
+        "a#b": Dag(["a#b", "c"], [("a#b", "c")]),  # read back as a lone node 'a'
+        " s": Dag([" s", "t"], [(" s", "t")]),  # read back renamed to 's'
+        "p->q": Dag(["p->q", "r"], [("p->q", "r")]),  # a line load_graph rejects
+        "x y": Dag(["x y", "z"], []),  # an isolated node load_graph rejects
+    }
+    for name, g in bad.items():
+        p = tmp_path / "bad.txt"
+        with pytest.raises(ValidationError) as err:
+            save_graph(g, p)
+        assert repr(name) in str(err.value)
+        assert not p.exists()
+    for name in ("", "t ", "u\nv", "u\rv"):
+        with pytest.raises(ValidationError):
+            save_graph(Dag([name, "w"], [("w", name)]), tmp_path / "bad.txt")
+    # whitespace inside a name that takes part in an edge reads back whole
+    g = Dag(["x y", "z", "lone"], [("x y", "z")])
+    save_graph(g, tmp_path / "ok.txt")
+    assert load_graph(tmp_path / "ok.txt", nodes=g.nodes) == g
 
 
 def test_bundled_expert_graph_shape():
