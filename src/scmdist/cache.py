@@ -18,14 +18,14 @@ Cholesky factor of the entrywise product of per-variable Grams
 (:func:`_hadamard`); :mod:`scmdist.embedding` builds one per key and never
 caches it: no N x N array is a cache entry.  Every factor adds JITTER_FLOOR.
 
+Entries are keyed by the SHA-256 digests of the sample columns they were
+built from, never by dataset ids, which are labels only: datasets with equal
+samples share entries, and the cache holds no reference to any dataset.
+
 The package itself runs serially.  Lookups and construction are still
 serialized by one re-entrant lock per cache, so a cache shared across the
 caller's own threads builds each key once and every hit refreshes its
 entry's recency.  Entries are evicted least-recently-used.
-
-Dataset identity is the dataset ``id`` string: within one cache lifetime an
-id must always refer to the same object (enforced), so cached entries can
-never silently describe different data.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _hadamard(grams: Sequence[np.ndarray]) -> np.ndarray:
 
 
 class GramCache:
-    """LRU cache of low-rank rows and low-rank factors over registered datasets."""
+    """LRU cache of low-rank rows and low-rank factors, keyed by sample digests."""
 
     def __init__(self, capacity: int = 12):
         if capacity < 1:
@@ -158,19 +158,6 @@ class GramCache:
         self._capacity = capacity
         self._lock = threading.RLock()
         self._entries: OrderedDict = OrderedDict()
-        self._datasets: dict[str, Dataset] = {}
-
-    def _register(self, *datasets: Dataset):
-        with self._lock:
-            for ds in datasets:
-                known = self._datasets.get(ds.id)
-                if known is None:
-                    self._datasets[ds.id] = ds
-                elif known is not ds:
-                    raise ValidationError(
-                        f"dataset id {ds.id!r} reused for a different dataset; "
-                        "give distinct datasets distinct ids"
-                    )
 
     def _get_or_build(self, key, build):
         # an entry may be None (rows past the rank cap), so test membership
@@ -189,8 +176,7 @@ class GramCache:
         """Rows L' (r x total N) of a low-rank factor of the Gram of
         ``variable`` over the samples of ``datasets``, concatenated in the
         given order; None when r would exceed total N / 4."""
-        self._register(*datasets)
-        key = ("rows", tuple(d.id for d in datasets), variable, kcfg.bandwidth_sq)
+        key = ("rows", tuple(d._digest(variable) for d in datasets), kcfg.bandwidth_sq)
 
         def build():
             x = np.concatenate([d.column(variable) for d in datasets])
@@ -205,39 +191,34 @@ class GramCache:
 class _CallRows:
     """One pivoted factor per variable for one call over ``datasets``.
 
-    A variable's owners are its distinct sample columns over the datasets, in
-    dataset-id order; equal samples share one block, so they get equal rows.
+    A variable's owners are its distinct sample columns by digest, in
+    ``Dataset._order_key`` order; equal samples share one block and rows.
     Its first use looks up ``cache.rows(owners, variable)``, and the call
     reads only that lookup, so no eviction makes it pivot again.
     """
 
     def __init__(self, cache: GramCache, datasets: Sequence[Dataset], kcfg: KernelConfig):
         self._cache, self._kcfg = cache, kcfg
-        self._datasets = sorted(datasets, key=lambda d: d.id)
+        self._datasets = sorted(datasets, key=Dataset._order_key)
         self._lookups: dict = {}
 
     def _lookup(self, variable: str):
-        """(owner ids, dataset id -> its column slice, rows or None)."""
+        """(column digest -> its slice of the rows, rows or None)."""
         if variable not in self._lookups:
             owners, spans, at = [], {}, 0
             for d in self._datasets:
-                x = d.column(variable)
-                twin = next((o for o in owners if np.array_equal(o.column(variable), x)), None)
-                if twin is None:
+                if d._digest(variable) not in spans:
                     owners.append(d)
-                    spans[d.id] = slice(at, at + d.n)
+                    spans[d._digest(variable)] = slice(at, at + d.n)
                     at += d.n
-                else:
-                    spans[d.id] = spans[twin.id]
-            rows = self._cache.rows(owners, variable, self._kcfg)
-            self._lookups[variable] = (tuple(o.id for o in owners), spans, rows)
+            self._lookups[variable] = (spans, self._cache.rows(owners, variable, self._kcfg))
         return self._lookups[variable]
 
     def block(self, data: Dataset, variable: str) -> np.ndarray | None:
         """``data``'s columns of the rows (a view): a low-rank factor of its
         own Gram.  None past the rows' rank cap."""
-        _, spans, rows = self._lookup(variable)
-        return None if rows is None else rows[:, spans[data.id]]
+        spans, rows = self._lookup(variable)
+        return None if rows is None else rows[:, spans[data._digest(variable)]]
 
     def factor(self, data: Dataset, variable: str, ridge: float) -> CholFactor | None:
         """The cached Woodbury factor of ``data``'s Gram plus ridge, on a view
@@ -248,8 +229,8 @@ class _CallRows:
         block = self.block(data, variable)
         if block is None or block.shape[0] > data.n // LOW_RANK_MAX_DIVISOR:
             return None
-        key = ("chol", self._lookup(variable)[0], data.id, variable, self._kcfg.bandwidth_sq,
-               ridge)
+        key = ("chol", tuple(self._lookup(variable)[0]), data._digest(variable),
+               self._kcfg.bandwidth_sq, ridge)
         label = f"variables {[variable]!r} of dataset {data.id!r}"
         return self._cache._get_or_build(
             key, lambda: CholFactor(block, ridge, JITTER_FLOOR, label, low_rank=True))

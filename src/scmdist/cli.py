@@ -124,10 +124,11 @@ def _parse_assignments(pairs, what="intervention"):
     out = {}
     for item in pairs:
         name, sep, value = item.partition("=")
+        name = name.strip()
         if not sep or not name:
             raise _UsageError(f"bad {what} {item!r}, expected NAME=VALUE")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError:
             raise _UsageError(f"bad {what} value in {item!r}") from None
     return out

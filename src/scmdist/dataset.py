@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -15,7 +16,8 @@ class Dataset:
     """N observations of d named real variables, all columns complete and finite.
 
     Columns are aligned by name everywhere in the package, so the declaration
-    order of ``variable_names`` never affects computed distances.
+    order of ``variable_names`` never affects computed distances.  Columns are
+    read-only copies of the caller's values; ``id`` is a label, and may repeat.
     """
 
     def __init__(self, columns: Mapping[str, Sequence[float]], id: str = "",
@@ -30,7 +32,7 @@ class Dataset:
         cols = {}
         n = None
         for name in names:
-            col = np.asarray(columns[name], dtype=float).ravel()
+            col = np.array(columns[name], dtype=float).ravel()
             if col.size == 0:
                 raise ValidationError(f"column {name!r} is empty")
             if n is None:
@@ -43,6 +45,7 @@ class Dataset:
             col.setflags(write=False)
             cols[name] = col
         self._columns = cols
+        self._digests: dict[str, bytes] = {}
         self._names = tuple(names)
         self.id = str(id)
         self.n = int(n)
@@ -55,6 +58,18 @@ class Dataset:
         if name not in self._columns:
             raise ValidationError(f"unknown variable {name!r} in dataset {self.id!r}")
         return self._columns[name]
+
+    def _digest(self, name: str) -> bytes:
+        """SHA-256 of a column's samples, computed on first use: cache entries
+        are keyed by it, so equal samples share them whatever their ids."""
+        if name not in self._digests:
+            self._digests[name] = hashlib.sha256(self.column(name)).digest()
+        return self._digests[name]
+
+    def _order_key(self) -> tuple:
+        """The id, then the column digests in name order: distances take their
+        datasets in this order, so a swap leaves them unchanged bit for bit."""
+        return (self.id, *(self._digest(v) for v in sorted(self._names)))
 
     def mean(self, name: str) -> float:
         return float(self.column(name).mean())

@@ -140,15 +140,12 @@ def _as_spec(v) -> InterventionSpec:
 
 
 def _canonical_order(g1, d1, v1, g2, d2, v2):
-    """Order the two (graph, dataset, intervention) triples by dataset id.
+    """Order the two (graph, dataset, intervention) triples by ``Dataset._order_key``.
 
     Distances are symmetric under swapping the triples; fixing one evaluation
     order makes that symmetry exact in floating point as well.
     """
-    if d1 is not d2 and d1.id == d2.id:
-        raise ValidationError(
-            f"distinct datasets share the id {d1.id!r}; give them distinct ids")
-    if d2.id < d1.id:
+    if d2._order_key() < d1._order_key():
         return g2, d2, v2, g1, d1, v1
     return g1, d1, v1, g2, d2, v2
 
@@ -204,7 +201,7 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
                rows: _CallRows) -> list[np.ndarray]:
     """Squared pair-term distances of every couple of sides, pairs x combinations.
 
-    ``couples`` index into ``sides``, each in canonical dataset-id order, and
+    ``couples`` index into ``sides``, each in canonical dataset order, and
     the sides' terms are ``pairs``.  Entry [p, k] is the squared distance
     between do(V_i = first[k]-th value) on the first side and do(V_i =
     second[k]-th value) on the second, measured on V_j, with (i, j) = pairs[p]
@@ -439,7 +436,7 @@ def mmd_vstat(d1: Dataset, d2: Dataset, kcfg: KernelConfig) -> float:
     doubled; the cross sum takes the diagonal blocks plus the bands to the
     right of both samples' strips.  Equal samples therefore add up the same
     entries in the same order on both sides and give exactly 0.0.  Memory
-    stays O(MMD_BLOCK * N).  The datasets are taken in dataset-id order, so
+    stays O(MMD_BLOCK * N).  The datasets are taken in canonical order, so
     swapping them leaves the result unchanged bit for bit.
     """
     if set(d1.variable_names) != set(d2.variable_names):
@@ -552,8 +549,9 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
         pairs = [(i, j) for i in names for j in names if i != j]
         sides = [_Side(g, e, {i: [specs[e.id].value_for(i)] for i in names}, pairs, cfg, rows)
                  for e in envs]
-        # each pair's cross-forms in canonical dataset-id order, as scmd does
-        couples = [(r, c) if ids[r] < ids[c] else (c, r) for r, c in pair_index]
+        # each pair's cross-forms in canonical dataset order, as scmd does
+        keys = [e._order_key() for e in envs]
+        couples = [(r, c) if keys[r] < keys[c] else (c, r) for r, c in pair_index]
         for (r, c), result in zip(pair_index, _reduce(sides, couples, pairs, cfg, rows)):
             reports[(ids[r], ids[c])] = _point_report(
                 "scmd", result, (ids[r], ids[c]), specs[ids[r]], specs[ids[c]], cfg)

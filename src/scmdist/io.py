@@ -2,27 +2,27 @@
 
 Formats:
   datasets   strict CSV, mandatory header of unique variable names, numeric
-             finite body, comma separator, '.' decimal point, UTF-8 (a
-             leading byte-order mark is skipped)
+             finite body, comma separator, '.' decimal point
   graphs     edge-list text: one ``parent -> child`` per line, ``#`` comments,
              bare names declare isolated nodes
   reports    JSON (deterministic key order) or CSV (pairwise matrices carry a
              header row/column of environment ids)
 
-All parsing is strict: malformed input raises with the offending line/cell
-rather than being coerced.
+Both readers take UTF-8 and skip a leading byte-order mark.  All parsing is
+strict: malformed input raises with the offending line/cell rather than
+being coerced.
 
 ``save_dataset`` writes each cell as the float's shortest round-trip
 ``repr``, ends every line with ``\r\n`` and quotes the header by csv rules
 (a name holding a comma, a quote or a line break), so ``load_dataset`` reads
 back the same names and the same values bit for bit.  Each writer refuses,
 with ``ValidationError``, the names its reader would not read back:
-  save_dataset   an empty name, a name with leading or trailing whitespace,
-                 and a first name that begins with U+FEFF (read as a
-                 byte-order mark)
+  save_dataset   an empty name, and a name with leading or trailing whitespace
   save_graph     an empty name, a name with leading or trailing whitespace,
                  a name holding ``#``, ``->`` or a line break, and an
                  isolated node whose name holds whitespace
+and both refuse a first name written that begins with U+FEFF (read as a
+byte-order mark).
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def load_graph(path, nodes=None) -> Dag:
             seen_set.add(name)
             seen_nodes.append(name)
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -167,12 +167,14 @@ def save_graph(g: Dag, path) -> None:
             raise ValidationError(
                 f"isolated node name {n!r} holds whitespace, which load_graph "
                 f"cannot read back")
+    lines = [f"{u} -> {v}\n" for u, v in sorted(g.edges)]
+    lines += [f"{n}\n" for n in g.nodes if n not in linked]
+    if lines and lines[0].startswith("\ufeff"):
+        raise ValidationError(
+            f"first line {lines[0].strip()!r} begins with U+FEFF, "
+            f"which load_graph reads as a byte-order mark")
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in sorted(g.edges):
-            fh.write(f"{u} -> {v}\n")
-        for n in g.nodes:
-            if n not in linked:
-                fh.write(f"{n}\n")
+        fh.writelines(lines)
 
 
 def sachs_expert_graph() -> Dag:

@@ -244,6 +244,61 @@ def test_a_factor_hit_builds_nothing(monkeypatch):
     assert len(built) == 2
 
 
+def copy_of(d, id):
+    return Dataset({v: d.column(v) for v in d.variable_names}, id=id)
+
+
+def test_byte_equal_datasets_share_cached_entries(monkeypatch):
+    built = count_builds(monkeypatch)
+    g = Dag(["X", "Y"], [("X", "Y")])
+    d1, d2 = sample_m1(3, 200, 406), sample_m1(5, 200, 407)
+    cfg = EstimatorConfig(kernel=KernelConfig(1.0), ridge_lambda=0.5)
+    spec = InterventionSpec({"X": 0.5, "Y": 1.0})
+    cache = GramCache()
+    first = scmd(g, d1, g, d2, spec, spec, cfg, cache)
+    count = len(built)
+    assert count > 0
+    again = scmd(g, copy_of(d1, d1.id), g, copy_of(d2, d2.id), spec, spec, cfg, cache)
+    assert len(built) == count and again == first
+    # the id is a label: the same samples under another id read the same rows
+    renamed = cache.rows([copy_of(d1, "renamed")], "X", cfg.kernel)
+    assert cache.rows([d1], "X", cfg.kernel) is renamed
+    assert len(built) == count + 1
+
+
+def test_the_same_id_with_other_samples_is_a_cache_miss(monkeypatch):
+    built = count_builds(monkeypatch)
+    rng = np.random.default_rng(24)
+    d1 = Dataset({"X": rng.normal(size=200)}, id="same")
+    d2 = Dataset({"X": rng.normal(size=200)}, id="same")
+    cache, kcfg = GramCache(), KernelConfig(1.0)
+    _CallRows(cache, [d1], kcfg).factor(d1, "X", 0.5)
+    factor = _CallRows(cache, [d2], kcfg).factor(d2, "X", 0.5)
+    assert [k[0] for k in built] == ["rows", "chol", "rows", "chol"]
+    x = d2.column("X")
+    rhs = kernel_columns(x, [0.0, 1.0], 1.0)
+    dense = cho_solve(cho_factor(gram_entries(x, x, kcfg) + (0.5 + JITTER) * np.eye(x.size)), rhs)
+    assert np.max(np.abs(factor.solve(rhs) - dense)) <= 1e-10
+
+
+def test_a_cache_keeps_no_dataset_alive():
+    import gc
+    import weakref
+
+    g = Dag(["X", "Y"], [("X", "Y")])
+    cfg = EstimatorConfig(kernel=KernelConfig(1.0), ridge_lambda=0.5)
+    spec = InterventionSpec({"X": 0.5, "Y": 1.0})
+    cache = GramCache()
+    alive = []
+    for k in range(30):
+        d1, d2 = sample_m1(3, 100, 600 + 2 * k), sample_m1(5, 100, 601 + 2 * k)
+        alive += [weakref.ref(d1), weakref.ref(d2)]
+        scmd(g, d1, g, d2, spec, spec, cfg, cache)
+    del d1, d2
+    gc.collect()
+    assert cache._entries and [r() for r in alive if r() is not None] == []
+
+
 def test_nested_builds_under_threads_build_each_key_once(monkeypatch):
     import sys
     from concurrent.futures import ThreadPoolExecutor

@@ -277,6 +277,9 @@ def test_intervention_values_a_run_would_not_read_are_errors(tmp_path, fwd_graph
         assert "read only under --policy user" in capsys.readouterr().err
     assert main(["pscmd", *pair, "--target", "Y", "--intervene", "X=7"]) == 1
     user = [*pair[:-1], "user", "--intervene", "X=1", "--intervene", "Y=1"]
+    for nameless in ("=1", " =1"):
+        assert main(["scmd", *user, "--intervene", nameless]) == 1
+        assert "expected NAME=VALUE" in capsys.readouterr().err
     assert main(["scmd", *user, "--intervene1", "Z=9"]) == 2
     assert "intervention values name variables outside the graph: ['Z']" \
         in capsys.readouterr().err

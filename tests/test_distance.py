@@ -53,13 +53,34 @@ def test_mimd_squared_matches_double_sum_expansion():
         assert got ** 2 == pytest.approx(expect_sq, abs=1e-10)
 
 
-def test_mimd_requires_distinct_variables_and_ids():
+def test_mimd_requires_distinct_variables():
     d1 = sample_m1(3, 50, 3)
     with pytest.raises(ValidationError):
         mimd(FWD, d1, FWD, d1, "X", "X", 1.0, 1.0, CFG)
+    # a copy under the same id is the same data, not an error
     clone = Dataset({v: d1.column(v) for v in d1.variable_names}, id=d1.id)
-    with pytest.raises(ValidationError):
-        mimd(FWD, d1, FWD, clone, "X", "Y", 1.0, 1.0, CFG)
+    assert (mimd(FWD, d1, FWD, clone, "X", "Y", 1.0, 2.0, CFG)
+            == mimd(FWD, d1, FWD, d1, "X", "Y", 1.0, 2.0, CFG))
+
+
+def test_datasets_sharing_an_id_are_told_apart_by_their_samples():
+    a, b = sample_m1(3, 200, 40), sample_m2(3, 200, 41)
+    unnamed = [Dataset({v: d.column(v) for v in d.variable_names}) for d in (a, b)]
+
+    def run(x, g, s, y, h, t):
+        return [scmd(g, x, h, y, s, t, CFG).value,
+                p_scmd(g, x, h, y, "Y", s, t, CFG).value,
+                e_scmd(g, x, h, y, cfg=CFG).value,
+                mimd(g, x, h, y, "X", "Y", s["X"], t["X"], CFG),
+                mmd_vstat(x, y, CFG.kernel)]
+
+    other = {"X": 0.5, "Y": 1.0}
+    same_id = run(unnamed[0], FWD, UNIT, unnamed[1], REV, other)
+    assert unnamed[0].id == unnamed[1].id == ""
+    swapped = run(unnamed[1], REV, other, unnamed[0], FWD, UNIT)
+    assert [v.hex() for v in same_id] == [v.hex() for v in swapped]
+    assert min(same_id) > 0
+    assert same_id == pytest.approx(run(a, FWD, UNIT, b, REV, other), abs=1e-12)
 
 
 def test_scmd_swap_symmetry_exact():

@@ -187,18 +187,6 @@ def test_estimator_config_is_kernel_and_ridge_only():
             EstimatorConfig(kernel=KernelConfig(1.0), **{knob: 1e-10})
 
 
-def test_cache_rejects_id_reuse():
-    cache = GramCache()
-    rng = np.random.default_rng(24)
-    d1 = Dataset({"X": rng.normal(size=10)}, id="same")
-    d2 = Dataset({"X": rng.normal(size=10)}, id="same")
-    cache.rows([d1], "X", KernelConfig(1.0))
-    with pytest.raises(ValidationError):
-        cache.rows([d2], "X", KernelConfig(1.0))
-    with pytest.raises(ValidationError):
-        _CallRows(cache, [d2], KernelConfig(1.0)).factor(d2, "X", 0.5)
-
-
 def count_pivotings(monkeypatch):
     """One entry per pivoted-Cholesky build from now on."""
     import scmdist.cache as cache_mod

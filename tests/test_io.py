@@ -118,6 +118,12 @@ def test_load_dataset_skips_a_byte_order_mark(tmp_path):
     assert np.array_equal(d.column("X"), [1.0, 3.0])
 
 
+def test_load_graph_skips_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.txt"
+    p.write_bytes(b"\xef\xbb\xbfX -> Y\n")
+    assert load_graph(p, nodes={"X", "Y"}) == Dag(["X", "Y"], [("X", "Y")])
+
+
 def test_load_graph_two_node_chain(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# comment line\nX -> Y\n")
@@ -173,6 +179,15 @@ def test_save_graph_refuses_names_load_graph_would_misread(tmp_path):
     for name in ("", "t ", "u\nv", "u\rv"):
         with pytest.raises(ValidationError):
             save_graph(Dag([name, "w"], [("w", name)]), tmp_path / "bad.txt")
+    # a name written first that begins with U+FEFF reads back as a byte-order mark
+    for g in (Dag(["\ufeffa", "b"], [("\ufeffa", "b")]), Dag(["\ufeffa"], [])):
+        with pytest.raises(ValidationError) as err:
+            save_graph(g, tmp_path / "bad.txt")
+        assert "U+FEFF" in str(err.value)
+        assert not (tmp_path / "bad.txt").exists()
+    g = Dag(["a", "\ufeffb"], [("a", "\ufeffb")])  # past the first name it is kept
+    save_graph(g, tmp_path / "ok.txt")
+    assert load_graph(tmp_path / "ok.txt", nodes=g.nodes) == g
     # whitespace inside a name that takes part in an edge reads back whole
     g = Dag(["x y", "z", "lone"], [("x y", "z")])
     save_graph(g, tmp_path / "ok.txt")
@@ -246,6 +261,15 @@ def test_dataset_quantile_matches_numpy_bit_for_bit():
         d = Dataset({"X": x})
         for q in levels:
             assert d.quantile("X", q).hex() == float(np.quantile(x, q)).hex(), (x.size, q)
+
+
+def test_dataset_copies_the_callers_arrays():
+    x = np.array([0.5, 1.5, 2.5])
+    d = Dataset({"X": x})
+    x[0] = np.nan
+    x[1:] = 7.0
+    assert d.column("X").tolist() == [0.5, 1.5, 2.5]
+    assert not d.column("X").flags.writeable
 
 
 def test_dataset_validation():
