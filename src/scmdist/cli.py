@@ -48,13 +48,16 @@ def _add_common(p, two_graphs=True):
     if two_graphs:
         p.add_argument("--graph1", required=True, help="first causal graph (edge list)")
         p.add_argument("--graph2", required=True, help="second causal graph (edge list)")
-    _add_estimator_options(p)
+    _add_estimator_options(p, ridge=two_graphs)
 
 
-def _add_estimator_options(p):
+def _add_estimator_options(p, ridge=True):
     p.add_argument("--sigma-sq", type=float, default=None,
                    help="Gaussian kernel variance (default: median heuristic)")
-    p.add_argument("--lam", type=float, default=0.5, help="ridge regularization (default 0.5)")
+    if ridge:
+        # None when absent, so a run that reads no ridge can refuse one given
+        p.add_argument("--lam", type=float, default=None,
+                       help="ridge regularization (default 0.5)")
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="result format (default json)")
@@ -151,7 +154,9 @@ def _estimator_config(args, datasets) -> EstimatorConfig:
         kcfg = _shared_bandwidth(datasets)
         print(f"scmdist: using median-heuristic bandwidth_sq={kcfg.bandwidth_sq:g}",
               file=sys.stderr)
-    return EstimatorConfig(kernel=kcfg, ridge_lambda=args.lam)
+    # `mmd` has no --lam: the MMD reads no ridge
+    lam = getattr(args, "lam", None)
+    return EstimatorConfig(kcfg) if lam is None else EstimatorConfig(kcfg, lam)
 
 
 def _specs_for(args, d1: Dataset, d2: Dataset):
@@ -214,6 +219,8 @@ def _run_pair_command(args) -> int:
 
 
 def _run_pairwise(args) -> int:
+    if args.metric == "mmd" and args.lam is not None:
+        raise _UsageError("--lam is read only by --metric scmd")
     envs = _load_datasets(args.data)
     g = load_graph(args.graph, nodes=envs[0].variable_names)
     cfg = _estimator_config(args, envs)

@@ -67,8 +67,10 @@ class Dataset:
         return self._digests[name]
 
     def _order_key(self) -> tuple:
-        """The id, then the column digests in name order: distances take their
-        datasets in this order, so a swap leaves them unchanged bit for bit."""
+        """The id, then the column digests in name order: the first part of a
+        distance's side key (``distance._evaluate``) and the order in which
+        ``mmd_vstat`` and ``cache._CallRows`` take datasets, so a swap leaves
+        a distance unchanged bit for bit."""
         return (self.id, *(self._digest(v) for v in sorted(self._names)))
 
     def mean(self, name: str) -> float:

@@ -12,14 +12,15 @@ variable pairs (i, j), i != j; P-SCMD fixes the target j; E-SCMD averages
 SCMD over intervention vectors built from per-variable empirical quantiles;
 a pairwise matrix holds SCMD for every pair of environments.
 
-One planner serves them all.  The weights of do(V_i = v) do not depend on
-the target j, so each (graph, dataset) side solves once per intervened
-variable i that reaches another variable: one factor and one solve with a
-right-hand side per intervention value of i (:mod:`scmdist.cache` says
-when the factor is low-rank and when dense).  For each target j the side's
-weight columns are stacked into an N x C matrix M, with the uniform
-marginal column wherever i does not reach j.
-The squared pair terms are read off diag(M1' K1 M1) - 2 M1' K12 M2 +
+One planner serves them all, entered only through :func:`_evaluate`, which
+takes each couple of sides in one order so swaps are exact bit for bit.
+The weights of do(V_i = v) do not depend on the target j, so each (graph,
+dataset) side solves once per intervened variable i that reaches another
+variable: one factor and one solve with a right-hand side per intervention
+value of i (:mod:`scmdist.cache` says when the factor is low-rank and when
+dense).  For each target j the side's weight columns are stacked into an
+N x C matrix M, with the uniform marginal column wherever i does not reach
+j.  The squared pair terms are read off diag(M1' K1 M1) - 2 M1' K12 M2 +
 diag(M2' K2 M2) only at the combinations of intervention values a distance
 uses (one, or E-SCMD's quantile levels): one pairs x combinations array per
 couple of sides.
@@ -58,7 +59,7 @@ from .dataset import Dataset
 from .embedding import EstimatorConfig, _side_weights
 from .errors import NumericalError, ValidationError
 from .graph import Dag
-from .kernel import KernelConfig, gram_entries
+from .kernel import KernelConfig, _real, gram_entries
 
 __all__ = [
     "InterventionSpec",
@@ -90,7 +91,8 @@ class InterventionSpec:
     origin: str = "user"
 
     def __post_init__(self):
-        vals = {str(k): float(v) for k, v in dict(self.values).items()}
+        vals = {str(k): _real(v, f"intervention value for {k!r}")
+                for k, v in dict(self.values).items()}
         for name, v in vals.items():
             if not np.isfinite(v):
                 raise ValidationError(f"intervention value for {name!r} is not finite")
@@ -137,17 +139,6 @@ def _as_spec(v) -> InterventionSpec:
     if isinstance(v, InterventionSpec):
         return v
     return InterventionSpec(v)
-
-
-def _canonical_order(g1, d1, v1, g2, d2, v2):
-    """Order the two (graph, dataset, intervention) triples by ``Dataset._order_key``.
-
-    Distances are symmetric under swapping the triples; fixing one evaluation
-    order makes that symmetry exact in floating point as well.
-    """
-    if d2._order_key() < d1._order_key():
-        return g2, d2, v2, g1, d1, v1
-    return g1, d1, v1, g2, d2, v2
 
 
 def _forms(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -201,7 +192,7 @@ def _sq_tables(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
                rows: _CallRows) -> list[np.ndarray]:
     """Squared pair-term distances of every couple of sides, pairs x combinations.
 
-    ``couples`` index into ``sides``, each in canonical dataset order, and
+    ``couples`` index into ``sides``, each in :func:`_evaluate`'s order, and
     the sides' terms are ``pairs``.  Entry [p, k] is the squared distance
     between do(V_i = first[k]-th value) on the first side and do(V_i =
     second[k]-th value) on the second, measured on V_j, with (i, j) = pairs[p]
@@ -262,14 +253,29 @@ def _reduce(sides: Sequence[_Side], couples: Sequence[tuple[int, int]],
     return out
 
 
+def _evaluate(sides, couples: Sequence[tuple[int, int]], pairs: Sequence[tuple[str, str]],
+              cfg: EstimatorConfig, cache: GramCache | None,
+              combos=([0], [0])) -> list[tuple[float, dict]]:
+    """(distance, pair terms) of every couple of ``sides``: the one way to :func:`_reduce`.
+
+    A side is a (graph, dataset, intervention values per variable) triple,
+    keyed by ``Dataset._order_key()``, then the graph's sorted edges, then
+    its sorted values.  Each couple is evaluated with the lower key first,
+    so a swap leaves its result unchanged bit for bit (sides whose keys tie
+    are the same numbers); ``combos`` must be a symmetric set for that.
+    """
+    keys = [(d._order_key(), sorted(g.edges), sorted(values.items())) for g, d, values in sides]
+    rows = _CallRows(cache or GramCache(), [d for _, d, _ in sides], cfg.kernel)
+    built = [_Side(*side, pairs, cfg, rows) for side in sides]
+    return _reduce(built, [(a, b) if keys[a] <= keys[b] else (b, a) for a, b in couples],
+                   pairs, cfg, rows, combos)
+
+
 def _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache) -> tuple[float, dict]:
     """(distance, pair terms) of two sides intervened at one value per variable."""
-    g1, d1, v1, g2, d2, v2 = _canonical_order(g1, d1, v1, g2, d2, v2)
-    rows = _CallRows(cache, [d1, d2], cfg.kernel)
-    sides = [_Side(g, d, {i: [v.value_for(i)] for i, _ in pairs}, pairs, cfg, rows)
+    sides = [(g, d, {i: [v.value_for(i)] for i, _ in pairs})
              for g, d, v in ((g1, d1, v1), (g2, d2, v2))]
-    [result] = _reduce(sides, [(0, 1)], pairs, cfg, rows)
-    return result
+    return _evaluate(sides, [(0, 1)], pairs, cfg, cache)[0]
 
 
 def mimd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, i: str, j: str,
@@ -284,7 +290,7 @@ def mimd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, i: str, j: str,
         d.column(i)
         d.column(j)
     return _point_distance(g1, d1, InterventionSpec({i: v1}), g2, d2, InterventionSpec({i: v2}),
-                           [(i, j)], cfg, cache or GramCache())[0]
+                           [(i, j)], cfg, cache)[0]
 
 
 def _check_same_variables(d1: Dataset, d2: Dataset, g1: Dag, g2: Dag):
@@ -336,7 +342,7 @@ def scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
     v1, v2 = _as_spec(v1), _as_spec(v2)
     _check_named(v1, names)
     _check_named(v2, names)
-    result = _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache or GramCache())
+    result = _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache)
     return _point_report("scmd", result, (d1.id, d2.id), v1, v2, cfg)
 
 
@@ -354,7 +360,7 @@ def p_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, target: str,
     v1, v2 = _as_spec(v1), _as_spec(v2)
     _check_named(v1, names)
     _check_named(v2, names)
-    result = _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache or GramCache())
+    result = _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache)
     return _point_report("p-scmd", result, (d1.id, d2.id), v1, v2, cfg, target=target)
 
 
@@ -382,7 +388,7 @@ def e_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
     """
     if cfg is None:
         raise ValidationError("e_scmd requires an EstimatorConfig")
-    levels = [float(q) for q in levels]
+    levels = [_real(q, "quantile level") for q in levels]
     if not levels:
         raise ValidationError("e_scmd needs at least one quantile level")
     for q in levels:
@@ -392,16 +398,12 @@ def e_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
         raise ValidationError(f"pairing must be 'grid' or 'paired', got {pairing!r}")
     names = _check_same_variables(d1, d2, g1, g2)
     pairs = [(i, j) for i in names for j in names if i != j]
-    # the set of combinations is symmetric and every sum of the reduction is
-    # an fsum, so the canonical swap of the two sides leaves the result unchanged
-    ga, da, _, gb, db, _ = _canonical_order(g1, d1, None, g2, d2, None)
-    rows = _CallRows(cache or GramCache(), [da, db], cfg.kernel)
-    sides = [_Side(g, d, {v: [d.quantile(v, q) for q in levels] for v in names},
-                   pairs, cfg, rows) for g, d in ((ga, da), (gb, db))]
+    sides = [(g, d, {v: [d.quantile(v, q) for q in levels] for v in names})
+             for g, d in ((g1, d1), (g2, d2))]
     count = len(levels)
     combos = (np.divmod(np.arange(count * count), count) if pairing == "grid"
               else (np.arange(count),) * 2)
-    [(value, pair_terms)] = _reduce(sides, [(0, 1)], pairs, cfg, rows, combos)
+    [(value, pair_terms)] = _evaluate(sides, [(0, 1)], pairs, cfg, cache, combos)
     return DistanceReport(
         value=value, pair_terms=pair_terms, dataset_ids=(d1.id, d2.id), kind="e-scmd",
         config_echo=_config_echo(cfg, levels=levels, pairing=pairing),
@@ -436,12 +438,13 @@ def mmd_vstat(d1: Dataset, d2: Dataset, kcfg: KernelConfig) -> float:
     doubled; the cross sum takes the diagonal blocks plus the bands to the
     right of both samples' strips.  Equal samples therefore add up the same
     entries in the same order on both sides and give exactly 0.0.  Memory
-    stays O(MMD_BLOCK * N).  The datasets are taken in canonical order, so
-    swapping them leaves the result unchanged bit for bit.
+    stays O(MMD_BLOCK * N).  The datasets are taken in ``Dataset._order_key``
+    order, so swapping them leaves the result unchanged bit for bit.
     """
     if set(d1.variable_names) != set(d2.variable_names):
         raise ValidationError("datasets must share the same variable names")
-    _, d1, _, _, d2, _ = _canonical_order(None, d1, None, None, d2, None)
+    if d2._order_key() < d1._order_key():
+        d1, d2 = d2, d1
     names = sorted(d1.variable_names)
     a = np.column_stack([d1.column(v) for v in names])
     b = np.column_stack([d2.column(v) for v in names])
@@ -544,15 +547,10 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
     if metric == "mmd":
         results = [mmd_vstat(envs[r], envs[c], cfg.kernel) for r, c in pair_index]
     else:
-        rows = _CallRows(cache or GramCache(), envs, cfg.kernel)
         names = sorted(g.nodes)
         pairs = [(i, j) for i in names for j in names if i != j]
-        sides = [_Side(g, e, {i: [specs[e.id].value_for(i)] for i in names}, pairs, cfg, rows)
-                 for e in envs]
-        # each pair's cross-forms in canonical dataset order, as scmd does
-        keys = [e._order_key() for e in envs]
-        couples = [(r, c) if keys[r] < keys[c] else (c, r) for r, c in pair_index]
-        for (r, c), result in zip(pair_index, _reduce(sides, couples, pairs, cfg, rows)):
+        sides = [(g, e, {i: [specs[e.id].value_for(i)] for i in names}) for e in envs]
+        for (r, c), result in zip(pair_index, _evaluate(sides, pair_index, pairs, cfg, cache)):
             reports[(ids[r], ids[c])] = _point_report(
                 "scmd", result, (ids[r], ids[c]), specs[ids[r]], specs[ids[c]], cfg)
         results = [report.value for report in reports.values()]

@@ -34,7 +34,7 @@ import numpy as np
 from .cache import JITTER_FLOOR, CholFactor, GramCache, _CallRows, _hadamard
 from .dataset import Dataset
 from .errors import ValidationError
-from .kernel import KernelConfig, gram_entries, kernel_vector
+from .kernel import KernelConfig, _real, gram_entries, kernel_vector
 
 __all__ = ["EstimatorConfig", "weight_columns"]
 
@@ -55,7 +55,8 @@ class EstimatorConfig:
     ridge_lambda: float = 0.5
 
     def __post_init__(self):
-        if not np.isfinite(self.ridge_lambda) or self.ridge_lambda < 0:
+        lam = _real(self.ridge_lambda, "ridge_lambda")
+        if not np.isfinite(lam) or lam < 0:
             raise ValidationError(f"ridge_lambda must be >= 0, got {self.ridge_lambda!r}")
 
 

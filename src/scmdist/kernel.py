@@ -18,6 +18,7 @@ bracketing, instead of from all 499,500 differences.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,16 @@ class KernelConfig:
     bandwidth_sq: float
 
     def __post_init__(self):
-        b = self.bandwidth_sq
+        b = _real(self.bandwidth_sq, "bandwidth_sq")
         if not np.isfinite(b) or b <= 0:
             raise ValidationError(f"bandwidth_sq must be positive and finite, got {b!r}")
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float if it is a real number; ValidationError naming ``what`` if not."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _as_clean_column(values, what: str) -> np.ndarray:

@@ -288,6 +288,8 @@ def test_intervention_values_a_run_would_not_read_are_errors(tmp_path, fwd_graph
     assert "read only under --policy user" in capsys.readouterr().err
     assert main([*many, "--metric", "mmd", "--policy", "user", "--intervene", "zz:X=1"]) == 2
     assert "'mmd' under policy 'user' reads no intervention values" in capsys.readouterr().err
+    assert main([*many, "--metric", "mmd", "--lam", "0.5"]) == 1  # the MMD reads no ridge
+    assert "--lam is read only by --metric scmd" in capsys.readouterr().err
 
 
 def test_pairwise_addresses_an_environment_id_containing_a_colon(tmp_path, fwd_graph, capsys):
@@ -390,10 +392,12 @@ def test_pairwise_help_documents_the_shared_options(capsys):
     ("pscmd", ["--jitter", "1e-10"]),
     ("escmd", ["--jitter", "1e-10"]),
     ("mmd", ["--jitter", "1e-10"]),
+    ("mmd", ["--lam", "0.5"]),
     ("pairwise", ["--jitter", "1e-10"]),
     ("pairwise", ["--threads", "2"]),
     ("scmd", ["--cost-budget", "1"]),
-], ids=["scmd", "pscmd", "escmd", "mmd", "pairwise", "pairwise-threads", "scmd-cost-budget"])
+], ids=["scmd", "pscmd", "escmd", "mmd", "mmd-lam", "pairwise", "pairwise-threads",
+        "scmd-cost-budget"])
 def test_jitter_flag_is_a_usage_error(tmp_path, fwd_graph, command, removed, capsys):
     p1, p3 = write_samples(tmp_path)
     pair = ["--data1", p1, "--data2", p3]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -90,6 +91,18 @@ def test_scmd_swap_symmetry_exact():
     b = scmd(REV, d3, FWD, d1, UNIT, UNIT, CFG)
     assert a.value == b.value
     assert a.pair_terms == b.pair_terms
+    # the same samples on both sides: the graphs and the values order them
+    other = {"X": 0.5, "Y": 2.0}
+    for seed in range(10):
+        d = sample_m1(3, 300, seed)
+        for a, b in ((scmd(FWD, d, FWD, d, UNIT, other, CFG),
+                      scmd(FWD, d, FWD, d, other, UNIT, CFG)),
+                     (p_scmd(FWD, d, REV, d, "Y", UNIT, other, CFG),
+                      p_scmd(REV, d, FWD, d, "Y", other, UNIT, CFG))):
+            assert a.value == b.value
+            assert a.pair_terms == b.pair_terms
+        assert (mimd(FWD, d, REV, d, "X", "Y", 1.0, 0.5, CFG)
+                == mimd(REV, d, FWD, d, "X", "Y", 0.5, 1.0, CFG))
 
 
 def test_scmd_self_distance_zero():
@@ -165,6 +178,8 @@ def test_e_scmd_validates_levels():
         e_scmd(FWD, d1, FWD, d2, [], CFG)
     with pytest.raises(ValidationError):
         e_scmd(FWD, d1, FWD, d2, [0.0], CFG)
+    with pytest.raises(ValidationError, match="quantile level"):
+        e_scmd(FWD, d1, FWD, d2, ["a"], CFG)
     with pytest.raises(ValidationError):
         e_scmd(FWD, d1, FWD, d2, [0.5], CFG, pairing="zigzag")
 
@@ -176,6 +191,9 @@ def test_intervention_spec_helpers():
     assert means.value_for("X") == pytest.approx(d.column("X").mean())
     with pytest.raises(ValidationError):
         InterventionSpec({"X": np.nan})
+    for bad in (None, "a", 1j):
+        with pytest.raises(ValidationError, match="intervention value for 'X'"):
+            scmd(FWD, d, FWD, d, {"X": bad, "Y": 1.0}, UNIT, CFG)
     with pytest.raises(ValidationError):
         means.value_for("missing")
 
@@ -489,6 +507,13 @@ def test_e_scmd_matches_per_pair_loop_over_combinations(pairing):
         assert abs(term - math.fsum(t[p] for t in runs) / len(runs)) <= 1e-12
     swapped = e_scmd(REV, d3, FWD, d1, levels, CFG, pairing=pairing)
     assert swapped.value == got.value
+    assert swapped.pair_terms == got.pair_terms
+    for seed in range(10):  # the same samples on both sides: the graphs order them
+        d = sample_m1(3, 300, seed)
+        a = e_scmd(FWD, d, REV, d, cfg=CFG, pairing=pairing)
+        b = e_scmd(REV, d, FWD, d, cfg=CFG, pairing=pairing)
+        assert a.value == b.value
+        assert a.pair_terms == b.pair_terms
 
 
 def _multi_parent_envs():
@@ -516,6 +541,10 @@ def test_pairwise_matrix_matches_per_pair_scmd_loop():
             assert abs(m.values[r, c] - math.fsum(terms.values())) <= 1e-12
             for p, term in terms.items():
                 assert abs(report.pair_terms[p] - term) <= 1e-12
+    # permuting the environments permutes the matrix bit for bit
+    for perm in itertools.permutations(range(len(envs))):
+        permuted = pairwise_matrix([envs[k] for k in perm], g, "scmd", cfg)
+        assert np.array_equal(permuted.values, m.values[np.ix_(perm, perm)])
 
 
 def test_pairwise_matrix_factorizes_each_key_once(monkeypatch):

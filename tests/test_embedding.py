@@ -178,6 +178,8 @@ def test_estimator_config_validation():
     k = KernelConfig(1.0)
     with pytest.raises(ValidationError):
         EstimatorConfig(kernel=k, ridge_lambda=-1.0)
+    with pytest.raises(ValidationError, match="ridge_lambda"):
+        EstimatorConfig(k, None)
 
 
 def test_estimator_config_is_kernel_and_ridge_only():

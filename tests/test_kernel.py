@@ -52,6 +52,8 @@ def test_bandwidth_must_be_positive():
         KernelConfig(0.0)
     with pytest.raises(ValidationError):
         KernelConfig(-1.0)
+    with pytest.raises(ValidationError, match="bandwidth_sq"):
+        KernelConfig("1")
 
 
 def test_gram_same_column_unit_diagonal_symmetric():
