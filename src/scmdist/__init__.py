@@ -3,6 +3,10 @@
 Estimates SCMD (and its prediction-oriented and expectation variants)
 between two environments from observational samples and known causal DAGs,
 alongside the MMD and SID baselines and closed-form Gaussian references.
+
+The closed-form references (the names from :mod:`scmdist.oracle`) load on
+first use, so a process that reads none of them, as every CLI command does,
+never imports that module.
 """
 
 from ._version import __version__
@@ -32,16 +36,6 @@ from .io import (
     write_report,
 )
 from .kernel import KernelConfig, gaussian_kernel, median_heuristic
-from .oracle import (
-    Gaussian1D,
-    embedding_distance_to_gaussian,
-    gaussian_embedding_inner,
-    mmd_gaussians,
-    mmd_joint_bivariate,
-    plugin_scmd,
-    scmd_case1,
-    scmd_case2,
-)
 from .synth import LinearGaussianScm, sample_m1, sample_m2, sample_scm
 
 __all__ = [
@@ -87,3 +81,28 @@ __all__ = [
     "sid",
     "write_report",
 ]
+
+_ORACLE_NAMES = frozenset({
+    "Gaussian1D",
+    "embedding_distance_to_gaussian",
+    "gaussian_embedding_inner",
+    "mmd_gaussians",
+    "mmd_joint_bivariate",
+    "plugin_scmd",
+    "scmd_case1",
+    "scmd_case2",
+})
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not yet in the module's namespace
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

@@ -31,6 +31,7 @@ entry's recency.  Entries are evicted least-recently-used.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from typing import Sequence
@@ -153,8 +154,8 @@ class GramCache:
     """LRU cache of low-rank rows and low-rank factors, keyed by sample digests."""
 
     def __init__(self, capacity: int = 12):
-        if capacity < 1:
-            raise ValidationError("cache capacity must be >= 1")
+        if not isinstance(capacity, numbers.Integral) or capacity < 1:
+            raise ValidationError(f"cache capacity must be an integer >= 1, got {capacity!r}")
         self._capacity = capacity
         self._lock = threading.RLock()
         self._entries: OrderedDict = OrderedDict()

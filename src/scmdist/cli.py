@@ -1,14 +1,22 @@
 """Command-line front end.
 
 Subcommands: scmd, pscmd, escmd, mmd, sid, pairwise, synth.
-Exit codes: 0 success, 1 usage error, 2 data/graph validation error,
-3 numerical failure.  Results go to stdout (or --out) as deterministic
-JSON/CSV; diagnostics go to stderr.
+Exit codes: 0 success, 1 usage error, 2 data/graph validation error or
+i/o error, 3 numerical failure.  Results go to stdout (or --out) as
+deterministic JSON/CSV; diagnostics go to stderr.
+
+``main(argv)`` returns the exit code and may be called in-process.  The
+``scmdist`` console script and ``python -m scmdist.cli`` enter through
+``run``, which flushes stdout and stderr after ``main`` and ends the process
+at once with ``os._exit``: the interpreter's teardown (freeing numpy's state,
+joining the BLAS threads) would only repeat what the OS does at exit.  A
+failed flush, such as stdout on a full disk, exits 2 like any other i/o error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -302,5 +310,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None):
+    """``main(argv)``, then flush stdout and stderr and end the process with
+    its exit code, skipping the interpreter's teardown.  An exception that
+    escapes ``main`` (argparse's ``--help`` exit among them) ends it the
+    normal way."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        try:
+            print(f"scmdist: i/o error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -32,7 +32,10 @@ class Dataset:
         cols = {}
         n = None
         for name in names:
-            col = np.array(columns[name], dtype=float).ravel()
+            try:
+                col = np.array(columns[name], dtype=float).ravel()
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"column {name!r} is not real-valued: {exc}") from None
             if col.size == 0:
                 raise ValidationError(f"column {name!r} is empty")
             if n is None:

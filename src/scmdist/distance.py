@@ -135,6 +135,11 @@ class PairwiseMatrix:
         object.__setattr__(self, "values", v)
 
 
+def _check_config(cfg) -> None:
+    if not isinstance(cfg, EstimatorConfig):
+        raise ValidationError(f"cfg must be an EstimatorConfig, got {cfg!r}")
+
+
 def _as_spec(v) -> InterventionSpec:
     if isinstance(v, InterventionSpec):
         return v
@@ -162,7 +167,7 @@ class _Side:
                  terms: Sequence[tuple[str, str]], cfg: EstimatorConfig, rows: _CallRows):
         self.data = data
         width = len(values[terms[0][0]])
-        descendants = {i: g.descendants(i) for i, _ in terms}
+        descendants = {i: g.descendants(i) for i in dict.fromkeys(i for i, _ in terms)}
         reaching = sorted({i for i, j in terms if j in descendants[i]})
         weights = _side_weights(data, {i: (tuple(sorted(g.parents(i))), values[i])
                                        for i in reaching}, cfg, rows)
@@ -283,6 +288,7 @@ def mimd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, i: str, j: str,
          cache: GramCache | None = None) -> float:
     """Estimated embedding distance between do(V_i=v1) in (g1, d1) and
     do(V_i=v2) in (g2, d2), measured on target variable V_j."""
+    _check_config(cfg)
     if i == j:
         raise ValidationError("mimd requires i != j")
     for g, d in ((g1, d1), (g2, d2)):
@@ -337,6 +343,7 @@ def scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
          v2: InterventionSpec | Mapping[str, float],
          cfg: EstimatorConfig, cache: GramCache | None = None) -> DistanceReport:
     """Structural causal model distance: sum of mimd over all ordered pairs."""
+    _check_config(cfg)
     names = _check_same_variables(d1, d2, g1, g2)
     pairs = [(i, j) for i in names for j in names if i != j]
     v1, v2 = _as_spec(v1), _as_spec(v2)
@@ -353,6 +360,7 @@ def p_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, target: str,
     """Prediction-oriented variant: only pairs with target j fixed.
 
     ``v1`` and ``v2`` may hold a value for ``target`` itself; it is not read."""
+    _check_config(cfg)
     names = _check_same_variables(d1, d2, g1, g2)
     if target not in names:
         raise ValidationError(f"unknown target variable {target!r}")
@@ -386,9 +394,12 @@ def e_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
     where paired levels give 0.339.  In Case 2 both give 0.900, because
     there each pair term varies with one environment's level only.
     """
-    if cfg is None:
-        raise ValidationError("e_scmd requires an EstimatorConfig")
-    levels = [_real(q, "quantile level") for q in levels]
+    _check_config(cfg)
+    try:
+        levels = [_real(q, "quantile level") for q in levels]
+    except TypeError:
+        raise ValidationError(
+            f"levels must be a sequence of quantile levels, got {levels!r}") from None
     if not levels:
         raise ValidationError("e_scmd needs at least one quantile level")
     for q in levels:
@@ -506,6 +517,7 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
     Evaluation is serial: ``threads`` accepts only 1.  A ``cache`` passed in
     may be shared with the caller's own threads.
     """
+    _check_config(cfg)
     envs = list(envs)
     if len(envs) < 2:
         raise ValidationError("pairwise_matrix needs at least 2 environments")

@@ -23,7 +23,11 @@ class Dag:
         edge_list = list(edges)
         node_set = set(node_list)
         seen = set()
-        for u, v in edge_list:
+        for edge in edge_list:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge {edge!r} is not a (parent, child) pair") from None
             if u not in node_set or v not in node_set:
                 raise ValidationError(f"edge ({u!r} -> {v!r}) references unknown node")
             if u == v:

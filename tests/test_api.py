@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,33 @@ def test_public_names_are_pinned_and_resolve():
     assert scmdist.__all__ == EXPECTED_ALL
     for name in scmdist.__all__:
         assert hasattr(scmdist, name), name
+
+
+ORACLE_NAMES = ["Gaussian1D", "embedding_distance_to_gaussian", "gaussian_embedding_inner",
+                "mmd_gaussians", "mmd_joint_bivariate", "plugin_scmd", "scmd_case1", "scmd_case2"]
+
+
+def test_oracle_names_load_on_first_use():
+    # in a fresh interpreter: this one may have imported scmdist.oracle already
+    code = f"""
+import sys
+import scmdist
+names = {ORACLE_NAMES!r}
+assert "scmdist.oracle" not in sys.modules
+assert set(names) <= set(dir(scmdist)) and set(names) <= set(scmdist.__all__)
+assert "scmdist.oracle" not in sys.modules
+case1 = scmdist.scmd_case1
+import scmdist.oracle
+assert case1 is scmdist.oracle.scmd_case1 and vars(scmdist)["scmd_case1"] is case1
+namespace = {{}}
+exec("from scmdist import *", namespace)
+assert all(namespace[n] is getattr(scmdist.oracle, n) for n in names)
+print("ok")
+"""
+    src = str(Path(scmdist.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.stdout.strip() == "ok", proc.stderr
 
 
 @pytest.mark.parametrize("module", sorted(REMOVED))

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from scmdist import (Dag, Dataset, EstimatorConfig, GramCache, InterventionSpec, KernelConfig,
-                     NumericalError, pairwise_matrix, sample_m1, scmd)
+                     NumericalError, ValidationError, pairwise_matrix, sample_m1, scmd)
 from scmdist.cache import JITTER_FLOOR, LOW_RANK_MAX_DIVISOR, CholFactor, _CallRows, _pivoted_rows
 from scmdist.embedding import weight_columns
 from scmdist.kernel import gram_entries
@@ -324,3 +324,10 @@ def test_nested_builds_under_threads_build_each_key_once(monkeypatch):
     assert all(r is results[1] for r in results[1::3])
     assert all(r is results[2] for r in results[2::3])
     assert results[0].rank == results[1].rank == results[2].shape[0]
+
+
+def test_capacity_must_be_a_positive_integer():
+    assert GramCache(np.int64(2))._capacity == 2
+    for bad in (0, -1, "3", 2.0, None):
+        with pytest.raises(ValidationError, match="cache capacity must be an integer >= 1"):
+            GramCache(bad)

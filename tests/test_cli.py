@@ -326,13 +326,86 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     src = str(Path(scmdist.__file__).resolve().parents[1])
     code = ("import sys, scmdist.cli; "
             "print('scipy.signal' in sys.modules, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'), 'concurrent.futures' in sys.modules)")
+            "if m.split('.')[0] == 'scipy'), 'concurrent.futures' in sys.modules, "
+            "'scmdist.oracle' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120, check=True)
     # scipy loads only with the dense Cholesky path, which importing does not
     # take; concurrent.futures (with the logging it loads) would cost every
-    # CLI process about 9 ms
-    assert proc.stdout.strip() == "False [] False"
+    # CLI process about 9 ms; no command reads the closed forms of oracle.py
+    assert proc.stdout.strip() == "False [] False False"
+
+
+def run_cli(argv, stdout=subprocess.PIPE, buffered=False):
+    """``python -m scmdist.cli ARGV`` in a fresh process, which ends through
+    ``scmdist.cli.run`` as the console script does.  ``buffered`` drops
+    PYTHONUNBUFFERED, so that stdout is written only by the final flush."""
+    env = {**os.environ, "PYTHONPATH": str(Path(scmdist.__file__).resolve().parents[1])}
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "scmdist.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120, check=False)
+
+
+def _escmd_argv(tmp_path, fwd_graph, rev_graph):
+    p1, p3 = write_samples(tmp_path)
+    return ["escmd", "--data1", p1, "--data2", p3, "--graph1", fwd_graph, "--graph2", rev_graph]
+
+
+def _pairwise_csv_argv(tmp_path, fwd_graph, rev_graph):
+    p1, p3 = write_samples(tmp_path)
+    return ["pairwise", "--data", p1, p3, "--graph", fwd_graph, "--metric", "scmd",
+            "--format", "csv"]
+
+
+@pytest.mark.parametrize("make_argv", [_escmd_argv, _pairwise_csv_argv],
+                         ids=["escmd", "pairwise-csv"])
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_a_cli_process_prints_what_main_returns(tmp_path, fwd_graph, rev_graph, make_argv,
+                                                buffered, capsys):
+    argv = make_argv(tmp_path, fwd_graph, rev_graph)
+    code = main(argv)
+    captured = capsys.readouterr()
+    proc = run_cli(argv, buffered=buffered)
+    assert code == 0 and proc.returncode == 0
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+
+
+def test_a_cli_process_exits_with_mains_codes(tmp_path, fwd_graph):
+    usage = run_cli(["frobnicate"])
+    assert usage.returncode == 1 and b"scmdist: usage error" in usage.stderr
+    bad = tmp_path / "bad.csv"
+    bad.write_text("X,Y\n1,apple\n")
+    invalid = run_cli(["scmd", "--data1", str(bad), "--data2", str(bad), "--graph1", fwd_graph,
+                       "--graph2", fwd_graph, "--sigma-sq", "0.1", "--policy", "mean"])
+    assert invalid.returncode == 2 and b"scmdist: invalid input" in invalid.stderr
+    # argparse's own exit still ends the process the normal way
+    version = run_cli(["--version"])
+    assert version.returncode == 0 and version.stdout.strip() == f"scmdist {scmdist.__version__}".encode()
+    for proc in (usage, invalid, version):
+        assert b"Traceback" not in proc.stderr
+
+
+def test_a_cli_process_writes_a_complete_out_file(tmp_path, fwd_graph, rev_graph):
+    argv = _escmd_argv(tmp_path, fwd_graph, rev_graph)
+    assert main(argv + ["--out", str(tmp_path / "in_process.json")]) == 0
+    proc = run_cli(argv + ["--out", str(tmp_path / "process.json")], buffered=True)
+    assert proc.returncode == 0 and proc.stdout == b""
+    assert ((tmp_path / "process.json").read_bytes()
+            == (tmp_path / "in_process.json").read_bytes())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_a_cli_process_on_a_full_stdout_exits_2(tmp_path, fwd_graph, rev_graph, buffered):
+    # unbuffered, the write inside main fails; buffered, the flush after it
+    with open("/dev/full", "wb") as full:
+        proc = run_cli(_escmd_argv(tmp_path, fwd_graph, rev_graph), stdout=full,
+                       buffered=buffered)
+    assert proc.returncode == 2
+    assert b"scmdist: i/o error" in proc.stderr
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
 
 
 def test_scmd_of_a_file_with_itself_is_zero(tmp_path, fwd_graph, capsys):

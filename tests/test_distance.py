@@ -182,6 +182,9 @@ def test_e_scmd_validates_levels():
         e_scmd(FWD, d1, FWD, d2, ["a"], CFG)
     with pytest.raises(ValidationError):
         e_scmd(FWD, d1, FWD, d2, [0.5], CFG, pairing="zigzag")
+    for levels in (0.5, None):
+        with pytest.raises(ValidationError, match="levels must be a sequence"):
+            e_scmd(FWD, d1, FWD, d2, levels, CFG)
 
 
 def test_intervention_spec_helpers():
@@ -374,6 +377,9 @@ def test_pairwise_validation():
                         interventions={d.id: unit, other.id: unit, "envX": unit})
     with pytest.raises(ValidationError, match="serial"):
         pairwise_matrix([d, other], FWD, "scmd", CFG, threads=2)
+    for metric in ("scmd", "mmd"):
+        with pytest.raises(ValidationError, match="cfg must be an EstimatorConfig"):
+            pairwise_matrix([d, other], FWD, metric, None)
     # intervention values the run would not read
     with pytest.raises(ValidationError, match="'per-variable-mean' reads no"):
         pairwise_matrix([d, other], FWD, "scmd", CFG,

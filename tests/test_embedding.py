@@ -12,11 +12,14 @@ from scmdist import (
     GramCache,
     KernelConfig,
     ValidationError,
+    e_scmd,
     embedding_distance_to_gaussian,
     gaussian_kernel,
     mimd,
+    p_scmd,
     sample_m1,
     sample_scm,
+    scmd,
     LinearGaussianScm,
 )
 from scmdist.cache import JITTER_FLOOR, _CallRows
@@ -180,6 +183,18 @@ def test_estimator_config_validation():
         EstimatorConfig(kernel=k, ridge_lambda=-1.0)
     with pytest.raises(ValidationError, match="ridge_lambda"):
         EstimatorConfig(k, None)
+    # every estimator refuses a missing or wrong-typed config by name
+    fwd = Dag(["X", "Y"], [("X", "Y")])
+    d = sample_m1(3, 50, 5)
+    unit = {"X": 1.0, "Y": 1.0}
+    calls = [lambda cfg: scmd(fwd, d, fwd, d, unit, unit, cfg),
+             lambda cfg: p_scmd(fwd, d, fwd, d, "Y", unit, unit, cfg),
+             lambda cfg: mimd(fwd, d, fwd, d, "X", "Y", 1.0, 1.0, cfg),
+             lambda cfg: e_scmd(fwd, d, fwd, d, cfg=cfg)]
+    for call in calls:
+        for cfg in (None, k):
+            with pytest.raises(ValidationError, match="cfg must be an EstimatorConfig"):
+                call(cfg)
 
 
 def test_estimator_config_is_kernel_and_ridge_only():

@@ -281,3 +281,5 @@ def test_dataset_validation():
         Dataset({})
     with pytest.raises(ValidationError):
         Dataset({"X": []})
+    with pytest.raises(ValidationError, match="column 'X' is not real-valued"):
+        Dataset({"X": ["a", "b"]})
