@@ -1,4 +1,4 @@
-"""Memoized low-rank Gram factors, and dense Cholesky factors.
+"""Memoized low-rank Gram rows, and dense Cholesky factors.
 
 The Gaussian Gram of one variable is numerically low-rank: pivoted Cholesky
 (Harbrecht, Peters & Schneider 2012) gives L (N x r) with L L' equal to it
@@ -6,26 +6,25 @@ up to a residual diagonal of 1e-13, in about N r^2 flops and 8 N r bytes.
 :meth:`GramCache.rows` caches these rows over the concatenated samples of
 one or more datasets, and a call pivots each variable once
 (:class:`_CallRows`), over the distinct sample columns of all its datasets.
-Each dataset's column block of those rows is a low-rank factor of its own
-Gram to the same residual, so one factor serves both the distances'
-quadratic and cross forms and the solves: with a positive ridge and a
-block rank within that dataset's N/4, a single variable's cached factor
-holds a view of its dataset's block, shared by every ridge, and solves
-through the Woodbury identity (Fine & Scheinberg 2001) in 4 N r flops per
-right-hand side.  Joint Grams over several variables, a zero ridge (the
+Each dataset's column block of those rows is a low-rank factor of its own Gram
+to the same residual, so one set of rows serves both the distances' quadratic
+and cross forms and the solves: with a positive ridge and a block rank within
+that dataset's N/4, a single variable's factor is built per call on a view of
+that block (its r x r core costs N r^2 flops, far less than the pivot) and
+solves through the Woodbury identity (Fine & Scheinberg 2001) in 4 N r flops
+per right-hand side.  Joint Grams over several variables, a zero ridge (the
 Woodbury identity divides by it) and ranks above N/4 take a dense N^3/3
 Cholesky factor of the entrywise product of per-variable Grams
-(:func:`_hadamard`); :mod:`scmdist.embedding` builds one per key and never
-caches it: no N x N array is a cache entry.  Every factor adds JITTER_FLOOR.
+(:func:`_hadamard`), one per key in :mod:`scmdist.embedding`.  Factors and
+N x N arrays are never cache entries.  Every factor adds JITTER_FLOOR.
 
 Entries are keyed by the SHA-256 digests of the sample columns they were
 built from, never by dataset ids, which are labels only: datasets with equal
 samples share entries, and the cache holds no reference to any dataset.
 
-The package itself runs serially.  Lookups and construction are still
-serialized by one re-entrant lock per cache, so a cache shared across the
-caller's own threads builds each key once and every hit refreshes its
-entry's recency.  Entries are evicted least-recently-used.
+The package runs serially.  One lock per cache still serializes lookups and
+builds, so a cache shared across the caller's own threads builds each key
+once and every hit refreshes its recency; eviction is least-recently-used.
 """
 
 from __future__ import annotations
@@ -151,13 +150,13 @@ def _hadamard(grams: Sequence[np.ndarray]) -> np.ndarray:
 
 
 class GramCache:
-    """LRU cache of low-rank rows and low-rank factors, keyed by sample digests."""
+    """LRU cache of pivoted Gram rows, or None past the cap, by sample digests."""
 
     def __init__(self, capacity: int = 12):
         if not isinstance(capacity, numbers.Integral) or capacity < 1:
             raise ValidationError(f"cache capacity must be an integer >= 1, got {capacity!r}")
         self._capacity = capacity
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
 
     def _get_or_build(self, key, build):
@@ -222,16 +221,13 @@ class _CallRows:
         return None if rows is None else rows[:, spans[data._digest(variable)]]
 
     def factor(self, data: Dataset, variable: str, ridge: float) -> CholFactor | None:
-        """The cached Woodbury factor of ``data``'s Gram plus ridge, on a view
-        of its :meth:`block`, shared rows for every ridge; None (the dense
-        path) for a zero ridge, past the rank cap or a rank above data.n / 4."""
+        """A Woodbury factor of ``data``'s Gram plus ridge, built for this call
+        on a view of its :meth:`block`; None (the dense path) for a zero
+        ridge, past the rank cap or a rank above data.n / 4."""
         if ridge <= 0:
             return None
         block = self.block(data, variable)
         if block is None or block.shape[0] > data.n // LOW_RANK_MAX_DIVISOR:
             return None
-        key = ("chol", tuple(self._lookup(variable)[0]), data._digest(variable),
-               self._kcfg.bandwidth_sq, ridge)
-        label = f"variables {[variable]!r} of dataset {data.id!r}"
-        return self._cache._get_or_build(
-            key, lambda: CholFactor(block, ridge, JITTER_FLOOR, label, low_rank=True))
+        return CholFactor(block, ridge, JITTER_FLOOR,
+                          f"variables {[variable]!r} of dataset {data.id!r}", low_rank=True)

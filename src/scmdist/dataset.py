@@ -33,7 +33,10 @@ class Dataset:
         n = None
         for name in names:
             try:
-                col = np.array(columns[name], dtype=float).ravel()
+                col = np.asarray(columns[name])  # no copy of an array, so O(1)
+                if col.dtype.kind == "c":  # a cast to float drops the imaginary parts
+                    raise TypeError("complex samples")
+                col = col.astype(float).ravel()
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"column {name!r} is not real-valued: {exc}") from None
             if col.size == 0:

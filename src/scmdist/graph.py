@@ -25,7 +25,7 @@ class Dag:
         seen = set()
         for edge in edge_list:
             try:
-                u, v = edge
+                u, v = () if isinstance(edge, str) else edge  # "XY" would unpack
             except (TypeError, ValueError):
                 raise ValidationError(f"edge {edge!r} is not a (parent, child) pair") from None
             if u not in node_set or v not in node_set:

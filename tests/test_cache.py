@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from scmdist import (Dag, Dataset, EstimatorConfig, GramCache, InterventionSpec, KernelConfig,
-                     NumericalError, ValidationError, pairwise_matrix, sample_m1, scmd)
+                     NumericalError, ValidationError, e_scmd, p_scmd, pairwise_matrix, sample_m1,
+                     sample_m2, scmd)
 from scmdist.cache import JITTER_FLOOR, LOW_RANK_MAX_DIVISOR, CholFactor, _CallRows, _pivoted_rows
 from scmdist.embedding import weight_columns
 from scmdist.kernel import gram_entries
@@ -239,9 +240,12 @@ def test_a_factor_hit_builds_nothing(monkeypatch):
     d = sample_m1(3, 200, 403)
     cache = GramCache(capacity=3)
     first = _CallRows(cache, [d], KernelConfig(1.0)).factor(d, "X", 0.5)
-    assert [k[0] for k in built] == ["rows", "chol"]
-    assert _CallRows(cache, [d], KernelConfig(1.0)).factor(d, "X", 0.5) is first
-    assert len(built) == 2
+    assert [k[0] for k in built] == ["rows"]
+    again = _CallRows(cache, [d], KernelConfig(1.0)).factor(d, "X", 0.5)
+    assert len(built) == 1  # the second call pivots nothing
+    assert again is not first and np.shares_memory(again._factor[0], first._factor[0])
+    rhs = kernel_columns(d.column("X"), [0.0, 1.0], 1.0)
+    assert np.array_equal(again.solve(rhs), first.solve(rhs))
 
 
 def copy_of(d, id):
@@ -266,6 +270,29 @@ def test_byte_equal_datasets_share_cached_entries(monkeypatch):
     assert len(built) == count + 1
 
 
+def test_a_shared_cache_changes_no_bit():
+    g = Dag(["X", "Y"], [("X", "Y")])
+    envs = [sample_m1(3, 200, 408), sample_m1(5, 160, 409), sample_m2(3, 200, 410)]
+    d1, d2 = envs[0], envs[1]
+    cfg = EstimatorConfig(kernel=KernelConfig(1.0), ridge_lambda=0.5)
+    spec = InterventionSpec({"X": 0.5, "Y": 1.0})
+
+    def run(cache):
+        reports = [scmd(g, d1, g, d2, spec, spec, cfg, cache)]
+        reports += [p_scmd(g, d1, g, d2, t, spec, spec, cfg, cache) for t in ("X", "Y")]
+        reports += [e_scmd(g, d1, g, d2, [0.25, 0.75], cfg, pairing, cache)
+                    for pairing in ("grid", "paired")]
+        m = pairwise_matrix(envs, g, "scmd", cfg, cache=cache)
+        return reports + list(m.reports.values()), m.values
+
+    shared = GramCache()
+    reports, values = run(shared)
+    alone, alone_values = run(None)
+    assert [(r.value, r.pair_terms) for r in reports] == [(r.value, r.pair_terms) for r in alone]
+    assert np.array_equal(values, alone_values)
+    assert shared._entries and all(k[0] == "rows" for k in shared._entries)
+
+
 def test_the_same_id_with_other_samples_is_a_cache_miss(monkeypatch):
     built = count_builds(monkeypatch)
     rng = np.random.default_rng(24)
@@ -274,7 +301,7 @@ def test_the_same_id_with_other_samples_is_a_cache_miss(monkeypatch):
     cache, kcfg = GramCache(), KernelConfig(1.0)
     _CallRows(cache, [d1], kcfg).factor(d1, "X", 0.5)
     factor = _CallRows(cache, [d2], kcfg).factor(d2, "X", 0.5)
-    assert [k[0] for k in built] == ["rows", "chol", "rows", "chol"]
+    assert [k[0] for k in built] == ["rows", "rows"]
     x = d2.column("X")
     rhs = kernel_columns(x, [0.0, 1.0], 1.0)
     dense = cho_solve(cho_factor(gram_entries(x, x, kcfg) + (0.5 + JITTER) * np.eye(x.size)), rhs)
@@ -307,7 +334,7 @@ def test_nested_builds_under_threads_build_each_key_once(monkeypatch):
     d = sample_m1(3, 200, 405)
     cache = GramCache(capacity=4)
     kcfg = KernelConfig(1.0)
-    # each factor lookup looks up the rows its build reads
+    # each factor is built on the rows of one shared lookup
     calls = [lambda: _CallRows(cache, [d], kcfg).factor(d, "X", 0.5),
              lambda: _CallRows(cache, [d], kcfg).factor(d, "X", 1.0),
              lambda: cache.rows([d], "X", kcfg)]
@@ -319,11 +346,11 @@ def test_nested_builds_under_threads_build_each_key_once(monkeypatch):
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(k[0] for k in built) == ["chol", "chol", "rows"]
-    assert all(r is results[0] for r in results[0::3])
-    assert all(r is results[1] for r in results[1::3])
+    assert [k[0] for k in built] == ["rows"]
     assert all(r is results[2] for r in results[2::3])
-    assert results[0].rank == results[1].rank == results[2].shape[0]
+    factors = results[0::3] + results[1::3]
+    assert all(f.rank == results[2].shape[0] for f in factors)
+    assert all(np.shares_memory(f._factor[0], results[2]) for f in factors)
 
 
 def test_capacity_must_be_a_positive_integer():

@@ -708,7 +708,7 @@ def test_single_variable_kernels_build_no_n_by_n_gram(monkeypatch):
 
 def test_pairwise_matrix_caches_no_n_by_n_array(monkeypatch):
     import scmdist.cache as cache_mod
-    from scmdist.cache import LOW_RANK_MAX_DIVISOR, CholFactor, _pivoted_rows
+    from scmdist.cache import LOW_RANK_MAX_DIVISOR, _pivoted_rows
 
     grams = count_gram_builds(monkeypatch)
     labels = []
@@ -752,11 +752,8 @@ def test_pairwise_matrix_caches_no_n_by_n_array(monkeypatch):
     assert sorted(owner[id(a)] for a, _ in grams) == expected
     assert len(labels) == len(set(labels)) == sum(map(len, keys.values()))
     for key, entry in cache._entries.items():
-        if key[0] == "rows":
-            assert entry is None or entry.shape[0] <= entry.shape[1] // LOW_RANK_MAX_DIVISOR
-        else:
-            assert key[0] == "chol"
-            assert isinstance(entry, CholFactor) and entry.rank is not None
+        assert key[0] == "rows"
+        assert entry is None or entry.shape[0] <= entry.shape[1] // LOW_RANK_MAX_DIVISOR
     means = [InterventionSpec.from_means(e).values for e in envs[:2]]
     terms = scmd_pair_terms_loop(g, envs[0], means[0], g, envs[1], means[1], cfg)
     assert abs(m.values[0, 1] - math.fsum(terms.values())) <= 1e-12

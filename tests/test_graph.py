@@ -177,6 +177,6 @@ def test_dag_rejects_bad_edges():
         Dag(["X"], [("X", "W")])
     with pytest.raises(ValidationError):
         Dag(["X", "X"], [])
-    for edge in (("X",), ("X", "Y", "Z"), 5):
+    for edge in (("X",), ("X", "Y", "Z"), 5, "XY"):
         with pytest.raises(ValidationError, match="is not a \\(parent, child\\) pair"):
             Dag(["X", "Y", "Z"], [edge])

@@ -281,5 +281,6 @@ def test_dataset_validation():
         Dataset({})
     with pytest.raises(ValidationError):
         Dataset({"X": []})
-    with pytest.raises(ValidationError, match="column 'X' is not real-valued"):
-        Dataset({"X": ["a", "b"]})
+    for bad in (["a", "b"], np.array([1 + 2j, 3j]), [np.complex128(1 + 2j), np.complex128(3j)]):
+        with pytest.raises(ValidationError, match="column 'X' is not real-valued"):
+            Dataset({"X": bad})
