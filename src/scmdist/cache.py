@@ -153,7 +153,8 @@ class GramCache:
     """LRU cache of pivoted Gram rows, or None past the cap, by sample digests."""
 
     def __init__(self, capacity: int = 12):
-        if not isinstance(capacity, numbers.Integral) or capacity < 1:
+        if (not isinstance(capacity, numbers.Integral) or isinstance(capacity, bool)
+                or capacity < 1):
             raise ValidationError(f"cache capacity must be an integer >= 1, got {capacity!r}")
         self._capacity = capacity
         self._lock = threading.Lock()

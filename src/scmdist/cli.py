@@ -36,7 +36,7 @@ from .distance import (
 from .embedding import EstimatorConfig
 from .errors import NumericalError, ValidationError
 from .graph import Dag, sid
-from .io import load_dataset, load_graph, render_report, save_dataset
+from .io import load_dataset, load_graph, render_report, save_dataset, write_report
 from .kernel import KernelConfig, median_heuristic
 from .synth import LinearGaussianScm, sample_m1, sample_m2, sample_scm
 
@@ -152,7 +152,7 @@ def _shared_bandwidth(datasets) -> KernelConfig:
     ]
     # np.median's value, bit for bit, without its import of numpy.ma
     s, k = sorted(per_column), len(per_column) // 2
-    return KernelConfig(float(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2))
+    return KernelConfig(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2)
 
 
 def _estimator_config(args, datasets) -> EstimatorConfig:
@@ -182,12 +182,10 @@ def _specs_for(args, d1: Dataset, d2: Dataset):
 
 
 def _emit(result, args) -> None:
-    text = render_report(result, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_report(result, args.out, args.format)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_report(result, args.format))
 
 
 def _load_datasets(paths) -> list[Dataset]:

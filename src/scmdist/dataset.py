@@ -7,13 +7,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _real
 
 __all__ = ["Dataset"]
 
 
 class Dataset:
-    """N observations of d named real variables, all columns complete and finite.
+    """N observations of d named real variables: complete, finite 1-D columns.
 
     Columns are aligned by name everywhere in the package, so the declaration
     order of ``variable_names`` never affects computed distances.  Columns are
@@ -36,9 +36,12 @@ class Dataset:
                 col = np.asarray(columns[name])  # no copy of an array, so O(1)
                 if col.dtype.kind == "c":  # a cast to float drops the imaginary parts
                     raise TypeError("complex samples")
-                col = col.astype(float).ravel()
+                col = col.astype(float)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"column {name!r} is not real-valued: {exc}") from None
+            if col.ndim != 1:
+                raise ValidationError(
+                    f"column {name!r} must be one-dimensional, got shape {col.shape}")
             if col.size == 0:
                 raise ValidationError(f"column {name!r} is empty")
             if n is None:
@@ -84,6 +87,7 @@ class Dataset:
 
     def quantile(self, name: str, level: float) -> float:
         """np.quantile's default linear interpolation, bit for bit, without numpy.ma."""
+        level = _real(level, "quantile level")
         if not 0.0 < level < 1.0:
             raise ValidationError(f"quantile level must be in (0, 1), got {level}")
         b, v = np.sort(self.column(name)), (self.n - 1) * level

@@ -57,9 +57,9 @@ import numpy as np
 from .cache import GramCache, _CallRows
 from .dataset import Dataset
 from .embedding import EstimatorConfig, _side_weights
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _real
 from .graph import Dag
-from .kernel import KernelConfig, _real, gram_entries
+from .kernel import KernelConfig, gram_entries
 
 __all__ = [
     "InterventionSpec",
@@ -396,6 +396,8 @@ def e_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
     """
     _check_config(cfg)
     try:
+        if isinstance(levels, str):  # "0.5" would iterate its characters
+            raise TypeError
         levels = [_real(q, "quantile level") for q in levels]
     except TypeError:
         raise ValidationError(

@@ -33,15 +33,15 @@ import numpy as np
 
 from .cache import JITTER_FLOOR, CholFactor, GramCache, _CallRows, _hadamard
 from .dataset import Dataset
-from .errors import ValidationError
-from .kernel import KernelConfig, _real, gram_entries, kernel_vector
+from .errors import ValidationError, _real
+from .kernel import KernelConfig, gram_entries, kernel_vector
 
 __all__ = ["EstimatorConfig", "weight_columns"]
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """The estimator's two parameters: the kernel bandwidth and the ridge.
+    """The estimator's two parameters: the kernel bandwidth and the ridge, a float.
 
     ``ridge_lambda`` is the total diagonal ridge added to the Gram before the
     symmetric positive-definite solve.  The numerical safeguards are fixed,
@@ -58,6 +58,7 @@ class EstimatorConfig:
         lam = _real(self.ridge_lambda, "ridge_lambda")
         if not np.isfinite(lam) or lam < 0:
             raise ValidationError(f"ridge_lambda must be >= 0, got {self.ridge_lambda!r}")
+        object.__setattr__(self, "ridge_lambda", lam)
 
 
 def weight_columns(data: Dataset, i: str, z: tuple[str, ...], values: Sequence[float],

@@ -30,11 +30,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from importlib import resources
 from io import StringIO
 from pathlib import Path
-
-import numpy as np
 
 from ._version import __version__
 from .dataset import Dataset
@@ -194,7 +193,7 @@ def report_to_dict(report: DistanceReport) -> dict:
         "value": report.value,
         "dataset_ids": list(report.dataset_ids),
         "pair_terms": {_pair_key(i, j): v for (i, j), v in sorted(report.pair_terms.items())},
-        "config": _jsonable(dict(report.config_echo)),
+        "config": dict(report.config_echo),
         "version": __version__,
     }
 
@@ -204,19 +203,17 @@ def matrix_to_dict(matrix: PairwiseMatrix) -> dict:
         "kind": "pairwise",
         "metric": matrix.metric,
         "ids": list(matrix.ids),
-        "values": [[float(v) for v in row] for row in matrix.values],
+        "values": matrix.values.tolist(),
         "version": __version__,
     }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+def _json_number(obj):
+    """json.dumps's hook for objects it cannot encode: a numpy scalar becomes
+    the Python number it holds."""
+    if isinstance(obj, numbers.Number) and hasattr(obj, "item"):
         return obj.item()
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_report(result: DistanceReport | PairwiseMatrix, format: str = "json") -> str:
@@ -226,14 +223,14 @@ def render_report(result: DistanceReport | PairwiseMatrix, format: str = "json")
     if format == "json":
         payload = (matrix_to_dict(result) if isinstance(result, PairwiseMatrix)
                    else report_to_dict(result))
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, default=_json_number) + "\n"
     # csv.writer quotes a field holding a comma, a quote or a line break
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if isinstance(result, PairwiseMatrix):
         writer.writerow(["id", *result.ids])
         for label, row in zip(result.ids, result.values):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+            writer.writerow([label, *map(repr, row.tolist())])
     else:
         writer.writerow(["term", "value"])
         writer.writerow([result.kind, repr(float(result.value))])

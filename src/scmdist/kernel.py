@@ -8,7 +8,9 @@ parameterized by its variance ``sigma_sq`` (squared data units).  Joint
 kernels over several variables are Hadamard (entrywise) products of the
 per-variable Grams (``scmdist.cache._hadamard``), which realizes the
 product kernel.  No Gram is cached: :func:`gram_entries` builds each when a
-dense factor or form needs it (see :mod:`scmdist.embedding`).
+dense factor or form needs it (see :mod:`scmdist.embedding`).  It and
+:func:`kernel_vector` check nothing: the package passes them ``Dataset``
+columns and values already checked where they entered.
 
 The default bandwidth is the median heuristic: the median squared
 difference over the pairs of an evenly strided subsample of at most 1000
@@ -18,12 +20,11 @@ bracketing, instead of from all 499,500 differences.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _real
 
 __all__ = [
     "KernelConfig",
@@ -40,7 +41,7 @@ _BRACKET_POINTS = 128
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Gaussian kernel variance sigma_sq (must be > 0)."""
+    """Gaussian kernel variance sigma_sq (must be > 0), stored as a float."""
 
     bandwidth_sq: float
 
@@ -48,22 +49,7 @@ class KernelConfig:
         b = _real(self.bandwidth_sq, "bandwidth_sq")
         if not np.isfinite(b) or b <= 0:
             raise ValidationError(f"bandwidth_sq must be positive and finite, got {b!r}")
-
-
-def _real(value, what: str) -> float:
-    """``value`` as a float if it is a real number; ValidationError naming ``what`` if not."""
-    if not isinstance(value, numbers.Real):
-        raise ValidationError(f"{what} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _as_clean_column(values, what: str) -> np.ndarray:
-    col = np.asarray(values, dtype=float).ravel()
-    if col.size == 0:
-        raise ValidationError(f"{what} is empty")
-    if not np.all(np.isfinite(col)):
-        raise ValidationError(f"{what} contains non-finite values")
-    return col
+        object.__setattr__(self, "bandwidth_sq", b)
 
 
 def gaussian_kernel(x: float, y: float, cfg: KernelConfig) -> float:
@@ -79,9 +65,7 @@ def gram_entries(col_a, col_b, cfg: KernelConfig) -> np.ndarray:
 
     Entry (s, t) is ``gaussian_kernel(col_a[s], col_b[t], cfg)``.
     """
-    a = _as_clean_column(col_a, "first column")
-    b = _as_clean_column(col_b, "second column")
-    return _gaussian_of_differences(np.subtract.outer(a, b), cfg.bandwidth_sq)
+    return _gaussian_of_differences(np.subtract.outer(col_a, col_b), cfg.bandwidth_sq)
 
 
 def _gaussian_of_differences(diff: np.ndarray, bandwidth_sq: float) -> np.ndarray:
@@ -95,10 +79,7 @@ def _gaussian_of_differences(diff: np.ndarray, bandwidth_sq: float) -> np.ndarra
 
 def kernel_vector(col, value: float, cfg: KernelConfig) -> np.ndarray:
     """Vector of kernel evaluations k(col[n], value) for a single query point."""
-    a = _as_clean_column(col, "column")
-    if not np.isfinite(value):
-        raise ValidationError(f"query value must be finite, got {value!r}")
-    d = a - float(value)
+    d = col - value
     return np.exp(-(d * d) / (2.0 * cfg.bandwidth_sq))
 
 
@@ -120,9 +101,9 @@ def median_heuristic(col) -> KernelConfig:
     the squared differences bit for bit.  Raises when the median is 0 (no
     usable scale; pass an explicit bandwidth).
     """
-    a = _as_clean_column(col, "column")
-    if a.size < 2:
-        raise ValidationError("median heuristic needs at least 2 values")
+    a = np.asarray(col, dtype=float).ravel()
+    if a.size < 2 or not np.all(np.isfinite(a)):
+        raise ValidationError("median heuristic needs at least 2 values, all finite")
     if a.size > MEDIAN_HEURISTIC_MAX_POINTS:
         idx = np.linspace(0, a.size - 1, MEDIAN_HEURISTIC_MAX_POINTS).round().astype(int)
         a = a[idx]

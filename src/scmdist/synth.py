@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ValidationError
+from .errors import ValidationError, _real
 from .graph import Dag
 
 __all__ = ["LinearGaussianScm", "sample_scm", "sample_m1", "sample_m2", "forward_pair_dag"]
@@ -28,7 +28,7 @@ class LinearGaussianScm:
 
     Every node v satisfies
         v = intercept[v] + sum(coefficients[(p, v)] * p for p in parents(v)) + noise,
-    with noise ~ N(0, noise_variances[v]).
+    with noise ~ N(0, noise_variances[v]).  The maps are kept as dicts of floats.
     """
 
     dag: Dag
@@ -37,6 +37,10 @@ class LinearGaussianScm:
     intercepts: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        # a float is kept as is, without formatting the message its check would need
+        for f in ("coefficients", "noise_variances", "intercepts"):
+            object.__setattr__(self, f, {k: v if type(v) is float else _real(v, f"{f}[{k!r}]")
+                                         for k, v in dict(getattr(self, f)).items()})
         for edge in self.coefficients:
             if edge not in self.dag.edges:
                 raise ValidationError(f"coefficient for non-edge {edge!r}")

@@ -355,6 +355,6 @@ def test_nested_builds_under_threads_build_each_key_once(monkeypatch):
 
 def test_capacity_must_be_a_positive_integer():
     assert GramCache(np.int64(2))._capacity == 2
-    for bad in (0, -1, "3", 2.0, None):
+    for bad in (0, -1, "3", 2.0, None, True):
         with pytest.raises(ValidationError, match="cache capacity must be an integer >= 1"):
             GramCache(bad)

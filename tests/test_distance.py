@@ -182,9 +182,21 @@ def test_e_scmd_validates_levels():
         e_scmd(FWD, d1, FWD, d2, ["a"], CFG)
     with pytest.raises(ValidationError):
         e_scmd(FWD, d1, FWD, d2, [0.5], CFG, pairing="zigzag")
-    for levels in (0.5, None):
+    for levels in (0.5, None, "0.5"):
         with pytest.raises(ValidationError, match="levels must be a sequence"):
             e_scmd(FWD, d1, FWD, d2, levels, CFG)
+
+
+def test_numpy_bandwidth_and_ridge_give_the_bits_of_their_float_twins():
+    d1, d2 = sample_m1(3, 400, 24), sample_m2(3, 400, 25)
+    cfg = EstimatorConfig(KernelConfig(np.float32(0.1)), np.float32(0.3))
+    twin = EstimatorConfig(KernelConfig(float(np.float32(0.1))), float(np.float32(0.3)))
+    assert type(cfg.kernel.bandwidth_sq) is float and type(cfg.ridge_lambda) is float
+    for run in (lambda c: scmd(FWD, d1, REV, d2, UNIT, UNIT, c).value,
+                lambda c: e_scmd(FWD, d1, REV, d2, cfg=c).value,
+                lambda c: mmd_vstat(d1, d2, c.kernel)):
+        assert run(cfg).hex() == run(twin).hex()
+    assert KernelConfig(np.int64(2)) == KernelConfig(2.0)
 
 
 def test_intervention_spec_helpers():

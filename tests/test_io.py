@@ -221,6 +221,22 @@ def test_report_json_round_trips_float_precision():
     assert payload["pair_terms"]["X->Y"] == value / 3
 
 
+def test_report_of_numpy_scalars_renders_as_its_float_twin():
+    def report(num):
+        return DistanceReport(value=num(0.5), pair_terms={("X", "Y"): num(0.1),
+                                                          ("Y", "X"): num(0.3)},
+                              dataset_ids=("a", "b"), kind="scmd",
+                              config_echo={"bandwidth_sq": num(0.1), "levels": [num(0.7)],
+                                           "interventions_1": {"X": num(1.1)}, "count": 3})
+
+    def twin(x):
+        return float(np.float32(x))
+
+    assert render_report(report(np.float32), "json") == render_report(report(twin), "json")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        render_report(DistanceReport(0.5, {}, ("a", "b"), "scmd", {"cfg": object()}), "json")
+
+
 def test_matrix_csv_symmetric_under_transpose(tmp_path):
     values = np.array([[0.0, 1.5, 2.0], [1.5, 0.0, 0.25], [2.0, 0.25, 0.0]])
     m = PairwiseMatrix(ids=("e1", "e2", "e3"), values=values, metric="scmd")
@@ -256,11 +272,11 @@ def test_dataset_quantile_matches_numpy_bit_for_bit():
     columns += [rng.integers(0, 3, size=n).astype(float) for n in (1, 2, 7, 100)]
     columns += [1e8 + rng.normal(size=n) for n in (2, 9, 500)]
     levels = [1e-12, 1.0 - 1e-12, 0.25, 0.5, 0.75, *np.linspace(0.01, 0.99, 99),
-              *rng.uniform(size=200)]
+              *rng.uniform(size=200), np.float32(0.3), np.float16(0.7)]
     for x in columns:
         d = Dataset({"X": x})
-        for q in levels:
-            assert d.quantile("X", q).hex() == float(np.quantile(x, q)).hex(), (x.size, q)
+        for q in levels:  # a numpy level is read as its float twin
+            assert d.quantile("X", q).hex() == float(np.quantile(x, float(q))).hex(), (x.size, q)
 
 
 def test_dataset_copies_the_callers_arrays():
@@ -284,3 +300,10 @@ def test_dataset_validation():
     for bad in (["a", "b"], np.array([1 + 2j, 3j]), [np.complex128(1 + 2j), np.complex128(3j)]):
         with pytest.raises(ValidationError, match="column 'X' is not real-valued"):
             Dataset({"X": bad})
+    # .ravel() would interleave the rows of a matrix into one column
+    for bad, shape in ((np.ones((3, 2)), r"\(3, 2\)"), (1.0, r"\(\)")):
+        with pytest.raises(ValidationError,
+                           match=f"column 'X' must be one-dimensional, got shape {shape}"):
+            Dataset({"X": bad})
+    with pytest.raises(ValidationError, match="quantile level must be a real number"):
+        Dataset({"X": [1.0, 2.0]}).quantile("X", "0.5")

@@ -83,6 +83,23 @@ def test_intercepts_shift_means():
     assert d.column("A").mean() == pytest.approx(5.0, abs=0.1)
 
 
+@pytest.mark.parametrize("num, coef, var_x, icpt",
+                         [(np.float32, 0.7, 0.3, 0.1), (np.int64, 2, 3, -1)])
+def test_numpy_parameters_sample_as_their_float_twins(num, coef, var_x, icpt):
+    dag = Dag(["X", "Y"], [("X", "Y")])
+
+    def model(conv):
+        return LinearGaussianScm(dag, {("X", "Y"): conv(coef)}, {"X": conv(var_x), "Y": conv(2)},
+                                 intercepts={"Y": conv(icpt)})
+
+    m, twin = model(num), model(lambda x: float(num(x)))
+    for params in (m.coefficients, m.noise_variances, m.intercepts):
+        assert all(type(v) is float for v in params.values())
+    got, want = sample_scm(m, 300, 3), sample_scm(twin, 300, 3)
+    for v in ("X", "Y"):
+        assert got.column(v).tobytes() == want.column(v).tobytes()
+
+
 def test_model_validation():
     dag = Dag(["X", "Y"], [("X", "Y")])
     with pytest.raises(ValidationError):
@@ -91,6 +108,8 @@ def test_model_validation():
         LinearGaussianScm(dag, {}, {"X": 1.0})
     with pytest.raises(ValidationError):
         LinearGaussianScm(dag, {}, {"X": 1.0, "Y": 0.0})
+    with pytest.raises(ValidationError, match=r"noise_variances\['Y'\] must be a real number"):
+        LinearGaussianScm(dag, {}, {"X": 1.0, "Y": "1"})
     with pytest.raises(ValidationError):
         sample_scm(LinearGaussianScm(dag, {}, {"X": 1.0, "Y": 1.0}), 0, 0)
 
