@@ -30,7 +30,6 @@ once and every hit refreshes its recency; eviction is least-recently-used.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from collections import OrderedDict
 from typing import Sequence
@@ -39,7 +38,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .dataset import Dataset
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, _count
 from .kernel import KernelConfig, _gaussian_of_differences
 
 __all__ = ["GramCache", "CholFactor"]
@@ -153,10 +152,7 @@ class GramCache:
     """LRU cache of pivoted Gram rows, or None past the cap, by sample digests."""
 
     def __init__(self, capacity: int = 12):
-        if (not isinstance(capacity, numbers.Integral) or isinstance(capacity, bool)
-                or capacity < 1):
-            raise ValidationError(f"cache capacity must be an integer >= 1, got {capacity!r}")
-        self._capacity = capacity
+        self._capacity = _count(capacity, "cache capacity", 1)
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
 

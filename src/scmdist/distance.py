@@ -93,9 +93,6 @@ class InterventionSpec:
     def __post_init__(self):
         vals = {str(k): _real(v, f"intervention value for {k!r}")
                 for k, v in dict(self.values).items()}
-        for name, v in vals.items():
-            if not np.isfinite(v):
-                raise ValidationError(f"intervention value for {name!r} is not finite")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -138,12 +135,6 @@ class PairwiseMatrix:
 def _check_config(cfg) -> None:
     if not isinstance(cfg, EstimatorConfig):
         raise ValidationError(f"cfg must be an EstimatorConfig, got {cfg!r}")
-
-
-def _as_spec(v) -> InterventionSpec:
-    if isinstance(v, InterventionSpec):
-        return v
-    return InterventionSpec(v)
 
 
 def _forms(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -276,13 +267,6 @@ def _evaluate(sides, couples: Sequence[tuple[int, int]], pairs: Sequence[tuple[s
                    pairs, cfg, rows, combos)
 
 
-def _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache) -> tuple[float, dict]:
-    """(distance, pair terms) of two sides intervened at one value per variable."""
-    sides = [(g, d, {i: [v.value_for(i)] for i, _ in pairs})
-             for g, d, v in ((g1, d1, v1), (g2, d2, v2))]
-    return _evaluate(sides, [(0, 1)], pairs, cfg, cache)[0]
-
-
 def mimd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, i: str, j: str,
          v1: float, v2: float, cfg: EstimatorConfig,
          cache: GramCache | None = None) -> float:
@@ -295,11 +279,14 @@ def mimd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, i: str, j: str,
         g._require(i, j)
         d.column(i)
         d.column(j)
-    return _point_distance(g1, d1, InterventionSpec({i: v1}), g2, d2, InterventionSpec({i: v2}),
-                           [(i, j)], cfg, cache)[0]
+    sides = [(g, d, {i: [InterventionSpec({i: v}).value_for(i)]})
+             for g, d, v in ((g1, d1, v1), (g2, d2, v2))]
+    return _evaluate(sides, [(0, 1)], [(i, j)], cfg, cache)[0][0]
 
 
-def _check_same_variables(d1: Dataset, d2: Dataset, g1: Dag, g2: Dag):
+def _shared_names(cfg, d1: Dataset, d2: Dataset, g1: Dag, g2: Dag) -> list[str]:
+    """The sorted names of both graphs and datasets, once ``cfg`` and the names are checked."""
+    _check_config(cfg)
     names = set(d1.variable_names)
     for other, what in ((set(d2.variable_names), "datasets"),
                         (set(g1.nodes), "graph 1 and data"),
@@ -325,17 +312,33 @@ def _check_named(spec: InterventionSpec, names, where: str = "") -> None:
             f"{where}intervention values name variables outside the graph: {outside}")
 
 
-def _config_echo(cfg: EstimatorConfig, **extra) -> dict:
-    return {"bandwidth_sq": cfg.kernel.bandwidth_sq, "ridge_lambda": cfg.ridge_lambda, **extra}
+def _interventions(v1: InterventionSpec, v2: InterventionSpec) -> dict:
+    return {"interventions_1": dict(v1.values), "interventions_2": dict(v2.values),
+            "origins": (v1.origin, v2.origin)}
 
 
-def _point_report(kind, result, dataset_ids, v1, v2, cfg, **echo) -> DistanceReport:
-    return DistanceReport(
-        *result, dataset_ids=dataset_ids, kind=kind,
-        config_echo=_config_echo(cfg, **echo, interventions_1=dict(v1.values),
-                                 interventions_2=dict(v2.values),
-                                 origins=(v1.origin, v2.origin)),
-    )
+def _report(kind, result, dataset_ids, cfg: EstimatorConfig, **echo) -> DistanceReport:
+    """The report of one (distance, pair terms) result of :func:`_evaluate`."""
+    echo = {"bandwidth_sq": cfg.kernel.bandwidth_sq, "ridge_lambda": cfg.ridge_lambda, **echo}
+    return DistanceReport(*result, dataset_ids=dataset_ids, kind=kind, config_echo=echo)
+
+
+def _at_values(kind, g1, d1, g2, d2, v1, v2, cfg, cache, target=None) -> DistanceReport:
+    """SCMD, or the P-SCMD of ``target``: two sides intervened at one value per variable."""
+    names = _shared_names(cfg, d1, d2, g1, g2)
+    if kind == "scmd":
+        pairs, echo = [(i, j) for i in names for j in names if i != j], {}
+    else:
+        if target not in names:
+            raise ValidationError(f"unknown target variable {target!r}")
+        pairs, echo = [(i, target) for i in names if i != target], {"target": target}
+    v1, v2 = (v if isinstance(v, InterventionSpec) else InterventionSpec(v) for v in (v1, v2))
+    _check_named(v1, names)
+    _check_named(v2, names)
+    sides = [(g, d, {i: [v.value_for(i)] for i, _ in pairs})
+             for g, d, v in ((g1, d1, v1), (g2, d2, v2))]
+    [result] = _evaluate(sides, [(0, 1)], pairs, cfg, cache)
+    return _report(kind, result, (d1.id, d2.id), cfg, **echo, **_interventions(v1, v2))
 
 
 def scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
@@ -343,14 +346,7 @@ def scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
          v2: InterventionSpec | Mapping[str, float],
          cfg: EstimatorConfig, cache: GramCache | None = None) -> DistanceReport:
     """Structural causal model distance: sum of mimd over all ordered pairs."""
-    _check_config(cfg)
-    names = _check_same_variables(d1, d2, g1, g2)
-    pairs = [(i, j) for i in names for j in names if i != j]
-    v1, v2 = _as_spec(v1), _as_spec(v2)
-    _check_named(v1, names)
-    _check_named(v2, names)
-    result = _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache)
-    return _point_report("scmd", result, (d1.id, d2.id), v1, v2, cfg)
+    return _at_values("scmd", g1, d1, g2, d2, v1, v2, cfg, cache)
 
 
 def p_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, target: str,
@@ -360,16 +356,7 @@ def p_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset, target: str,
     """Prediction-oriented variant: only pairs with target j fixed.
 
     ``v1`` and ``v2`` may hold a value for ``target`` itself; it is not read."""
-    _check_config(cfg)
-    names = _check_same_variables(d1, d2, g1, g2)
-    if target not in names:
-        raise ValidationError(f"unknown target variable {target!r}")
-    pairs = [(i, target) for i in names if i != target]
-    v1, v2 = _as_spec(v1), _as_spec(v2)
-    _check_named(v1, names)
-    _check_named(v2, names)
-    result = _point_distance(g1, d1, v1, g2, d2, v2, pairs, cfg, cache)
-    return _point_report("p-scmd", result, (d1.id, d2.id), v1, v2, cfg, target=target)
+    return _at_values("p-scmd", g1, d1, g2, d2, v1, v2, cfg, cache, target)
 
 
 def e_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
@@ -409,18 +396,15 @@ def e_scmd(g1: Dag, d1: Dataset, g2: Dag, d2: Dataset,
             raise ValidationError(f"quantile level must be in (0, 1), got {q}")
     if pairing not in ("grid", "paired"):
         raise ValidationError(f"pairing must be 'grid' or 'paired', got {pairing!r}")
-    names = _check_same_variables(d1, d2, g1, g2)
+    names = _shared_names(cfg, d1, d2, g1, g2)
     pairs = [(i, j) for i in names for j in names if i != j]
     sides = [(g, d, {v: [d.quantile(v, q) for q in levels] for v in names})
              for g, d in ((g1, d1), (g2, d2))]
     count = len(levels)
     combos = (np.divmod(np.arange(count * count), count) if pairing == "grid"
               else (np.arange(count),) * 2)
-    [(value, pair_terms)] = _evaluate(sides, [(0, 1)], pairs, cfg, cache, combos)
-    return DistanceReport(
-        value=value, pair_terms=pair_terms, dataset_ids=(d1.id, d2.id), kind="e-scmd",
-        config_echo=_config_echo(cfg, levels=levels, pairing=pairing),
-    )
+    [result] = _evaluate(sides, [(0, 1)], pairs, cfg, cache, combos)
+    return _report("e-scmd", result, (d1.id, d2.id), cfg, levels=levels, pairing=pairing)
 
 
 def mmd_vstat(d1: Dataset, d2: Dataset, kcfg: KernelConfig) -> float:
@@ -454,6 +438,8 @@ def mmd_vstat(d1: Dataset, d2: Dataset, kcfg: KernelConfig) -> float:
     stays O(MMD_BLOCK * N).  The datasets are taken in ``Dataset._order_key``
     order, so swapping them leaves the result unchanged bit for bit.
     """
+    if not isinstance(kcfg, KernelConfig):
+        raise ValidationError(f"kcfg must be a KernelConfig, got {kcfg!r}")
     if set(d1.variable_names) != set(d2.variable_names):
         raise ValidationError("datasets must share the same variable names")
     if d2._order_key() < d1._order_key():
@@ -565,8 +551,8 @@ def pairwise_matrix(envs: Sequence[Dataset], g: Dag, metric: str,
         pairs = [(i, j) for i in names for j in names if i != j]
         sides = [(g, e, {i: [specs[e.id].value_for(i)] for i in names}) for e in envs]
         for (r, c), result in zip(pair_index, _evaluate(sides, pair_index, pairs, cfg, cache)):
-            reports[(ids[r], ids[c])] = _point_report(
-                "scmd", result, (ids[r], ids[c]), specs[ids[r]], specs[ids[c]], cfg)
+            reports[(ids[r], ids[c])] = _report("scmd", result, (ids[r], ids[c]), cfg,
+                                                **_interventions(specs[ids[r]], specs[ids[c]]))
         results = [report.value for report in reports.values()]
 
     values = np.zeros((len(envs), len(envs)))

@@ -55,8 +55,10 @@ class EstimatorConfig:
     ridge_lambda: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.kernel, KernelConfig):
+            raise ValidationError(f"kernel must be a KernelConfig, got {self.kernel!r}")
         lam = _real(self.ridge_lambda, "ridge_lambda")
-        if not np.isfinite(lam) or lam < 0:
+        if lam < 0:
             raise ValidationError(f"ridge_lambda must be >= 0, got {self.ridge_lambda!r}")
         object.__setattr__(self, "ridge_lambda", lam)
 

@@ -1,5 +1,6 @@
-"""Exception hierarchy, and the real-number check, shared across the package."""
+"""Exception hierarchy, and the real-number and count checks, shared across the package."""
 
+import math
 import numbers
 
 
@@ -16,7 +17,16 @@ class NumericalError(ScmdistError, ArithmeticError):
 
 
 def _real(value, what: str) -> float:
-    """``value`` as a float if it is a real number; ValidationError naming ``what`` if not."""
+    """``value`` as a float if it is a finite real number; ValidationError naming ``what``."""
     if not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
     return float(value)
+
+
+def _count(value, what: str, low: int) -> int:
+    """``value`` as an int if it is an integer (not a bool) >= ``low``; ValidationError if not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)

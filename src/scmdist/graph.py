@@ -17,6 +17,8 @@ class Dag:
     """Immutable directed acyclic graph over named variables."""
 
     def __init__(self, nodes: Sequence[str], edges: Iterable[tuple[str, str]]):
+        if isinstance(nodes, str):  # "XY" would iterate its characters
+            raise ValidationError(f"nodes must be a sequence of node names, got {nodes!r}")
         node_list = list(nodes)
         if len(set(node_list)) != len(node_list):
             raise ValidationError("duplicate node names")

@@ -47,16 +47,14 @@ class KernelConfig:
 
     def __post_init__(self):
         b = _real(self.bandwidth_sq, "bandwidth_sq")
-        if not np.isfinite(b) or b <= 0:
+        if b <= 0:
             raise ValidationError(f"bandwidth_sq must be positive and finite, got {b!r}")
         object.__setattr__(self, "bandwidth_sq", b)
 
 
 def gaussian_kernel(x: float, y: float, cfg: KernelConfig) -> float:
     """Evaluate k(x, y) = exp(-(x - y)^2 / (2 sigma_sq)); symmetric, in (0, 1]."""
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise ValidationError(f"kernel inputs must be finite, got ({x!r}, {y!r})")
-    d = float(x) - float(y)
+    d = _real(x, "kernel input x") - _real(y, "kernel input y")
     return float(np.exp(-(d * d) / (2.0 * cfg.bandwidth_sq)))
 
 
@@ -101,7 +99,12 @@ def median_heuristic(col) -> KernelConfig:
     the squared differences bit for bit.  Raises when the median is 0 (no
     usable scale; pass an explicit bandwidth).
     """
-    a = np.asarray(col, dtype=float).ravel()
+    try:
+        a = np.asarray(col, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"median heuristic needs real values: {exc}") from None
+    if a.ndim != 1:
+        raise ValidationError(f"median heuristic needs a 1-D column, got shape {a.shape}")
     if a.size < 2 or not np.all(np.isfinite(a)):
         raise ValidationError("median heuristic needs at least 2 values, all finite")
     if a.size > MEDIAN_HEURISTIC_MAX_POINTS:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ValidationError
+from .errors import ValidationError, _real
 
 __all__ = [
     "Gaussian1D",
@@ -40,14 +40,13 @@ class Gaussian1D:
     variance: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mean):
-            raise ValidationError(f"mean must be finite, got {self.mean!r}")
-        if not np.isfinite(self.variance) or self.variance <= 0:
+        _real(self.mean, "mean")
+        if _real(self.variance, "variance") <= 0:
             raise ValidationError(f"variance must be positive, got {self.variance!r}")
 
 
 def _check_bandwidth(s2: float):
-    if not np.isfinite(s2) or s2 <= 0:
+    if _real(s2, "bandwidth_sq") <= 0:
         raise ValidationError(f"bandwidth_sq must be positive, got {s2!r}")
 
 

@@ -9,6 +9,7 @@ sorted name order, never in the hash order of a set, so a fixed
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -16,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ValidationError, _real
+from .errors import ValidationError, _count, _real
 from .graph import Dag
 
 __all__ = ["LinearGaussianScm", "sample_scm", "sample_m1", "sample_m2", "forward_pair_dag"]
@@ -37,20 +38,22 @@ class LinearGaussianScm:
     intercepts: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        # a float is kept as is, without formatting the message its check would need
+        # a finite float is kept as is, without formatting the message its check would need
         for f in ("coefficients", "noise_variances", "intercepts"):
-            object.__setattr__(self, f, {k: v if type(v) is float else _real(v, f"{f}[{k!r}]")
-                                         for k, v in dict(getattr(self, f)).items()})
+            object.__setattr__(self, f, {
+                k: v if type(v) is float and math.isfinite(v) else _real(v, f"{f}[{k!r}]")
+                for k, v in dict(getattr(self, f)).items()})
         for edge in self.coefficients:
             if edge not in self.dag.edges:
                 raise ValidationError(f"coefficient for non-edge {edge!r}")
         for node in self.dag.nodes:
             var = self.noise_variances.get(node)
-            if var is None or not np.isfinite(var) or var <= 0:
+            if var is None or var <= 0:
                 raise ValidationError(f"node {node!r} needs a positive noise variance")
-        for node in self.intercepts:
-            if node not in self.dag.nodes:
-                raise ValidationError(f"intercept for unknown node {node!r}")
+        for what, m in (("intercept", self.intercepts), ("noise variance", self.noise_variances)):
+            for node in m:
+                if node not in self.dag.nodes:
+                    raise ValidationError(f"{what} for unknown node {node!r}")
 
 
 def _node_rng(seed: int, name: str) -> np.random.Generator:
@@ -61,8 +64,7 @@ def _node_rng(seed: int, name: str) -> np.random.Generator:
 
 def sample_scm(m: LinearGaussianScm, n: int, seed: int, id: str | None = None) -> Dataset:
     """Ancestral sampling of n i.i.d. joint observations from m."""
-    if n < 1:
-        raise ValidationError(f"sample size must be >= 1, got {n}")
+    n, seed = _count(n, "sample size", 1), _count(seed, "seed", 0)
     values: dict[str, np.ndarray] = {}
     for node in m.dag.topological_order():
         col = _node_rng(seed, node).normal(0.0, np.sqrt(m.noise_variances[node]), size=n)

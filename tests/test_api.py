@@ -138,3 +138,11 @@ def test_demo_imports_resolve(demo):
             assert name in scmdist.__all__, f"{demo}: scmdist.{name}"
         else:
             assert hasattr(importlib.import_module(module), name), f"{demo}: {module}.{name}"
+
+
+def test_package_version_matches_pyproject():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == scmdist.__version__

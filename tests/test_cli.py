@@ -76,6 +76,16 @@ def test_bad_synth_spec_is_a_validation_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_synth_refuses_a_negative_seed_and_a_non_finite_slope(tmp_path, capsys):
+    out = str(tmp_path / "out.csv")
+    for extra, message in ((["--seed", "-1"], "seed must be an integer >= 0"),
+                           (["--a", "nan"], "must be finite, got nan")):
+        assert main(["synth", "--model", "m1", "--n", "5", "--out", out, *extra]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and message in err, err
+    assert not os.path.exists(out)
+
+
 def test_validation_error_exit_code_2(tmp_path, fwd_graph):
     bad = tmp_path / "bad.csv"
     bad.write_text("X,Y\n1,apple\n")

@@ -204,8 +204,9 @@ def test_intervention_spec_helpers():
     means = InterventionSpec.from_means(d)
     assert means.origin == "per-variable-mean"
     assert means.value_for("X") == pytest.approx(d.column("X").mean())
-    with pytest.raises(ValidationError):
-        InterventionSpec({"X": np.nan})
+    for bad in (np.nan, np.inf, -math.inf):
+        with pytest.raises(ValidationError, match="intervention value for 'X' must be finite"):
+            InterventionSpec({"X": bad})
     for bad in (None, "a", 1j):
         with pytest.raises(ValidationError, match="intervention value for 'X'"):
             scmd(FWD, d, FWD, d, {"X": bad, "Y": 1.0}, UNIT, CFG)
@@ -500,6 +501,45 @@ def test_reports_echo_no_numerical_knobs():
         assert {"bandwidth_sq", "ridge_lambda"} <= set(report.config_echo)
         config = json.loads(render_report(report))["config"]
         assert "jitter" not in config and "clamp_tol" not in config
+
+
+def test_config_echo_of_every_report_kind():
+    d1, d2 = sample_m1(3, 60, 48), sample_m2(3, 60, 49)
+    half = {"X": 0.5, "Y": 2.0}
+    knobs = {"bandwidth_sq": 0.1, "ridge_lambda": 0.5}
+    at_values = {"interventions_1": UNIT, "interventions_2": half, "origins": ("user", "user")}
+    echoes = [
+        (scmd(FWD, d1, REV, d2, UNIT, half, CFG), {**knobs, **at_values}),
+        (p_scmd(FWD, d1, REV, d2, "Y", UNIT, half, CFG), {**knobs, "target": "Y", **at_values}),
+        (e_scmd(FWD, d1, REV, d2, [0.5, 0.7], CFG, pairing="paired"),
+         {**knobs, "levels": [0.5, 0.7], "pairing": "paired"}),
+    ]
+    d3 = sample_m1(5, 60, 50)
+    means = {d.id: InterventionSpec.from_means(d).values for d in (d1, d3)}
+    for (a, b), report in pairwise_matrix([d1, d3], FWD, "scmd", CFG).reports.items():
+        echoes.append((report, {**knobs, "interventions_1": means[a], "interventions_2": means[b],
+                                "origins": ("per-variable-mean", "per-variable-mean")}))
+    for report, want in echoes:
+        assert list(report.config_echo) == list(want), report.kind
+        assert report.config_echo == want, report.kind
+
+
+def test_point_distances_convert_both_specs_before_naming_checks():
+    d1, d2 = sample_m1(3, 60, 51), sample_m1(5, 60, 52)
+    outside, not_real = {"Z": 1.0}, {"X": "a", "Y": 1.0}
+    for call in (lambda: scmd(FWD, d1, FWD, d2, outside, not_real, CFG),
+                 lambda: p_scmd(FWD, d1, FWD, d2, "Y", outside, not_real, CFG)):
+        with pytest.raises(ValidationError, match="intervention value for 'X' must be a real"):
+            call()
+    with pytest.raises(ValidationError, match="unknown target variable None"):
+        p_scmd(FWD, d1, FWD, d2, None, UNIT, UNIT, CFG)
+
+
+def test_mmd_vstat_refuses_a_kernel_config_of_another_type():
+    d1, d2 = sample_m1(3, 30, 53), sample_m1(5, 30, 54)
+    for bad in (0.1, CFG, None):
+        with pytest.raises(ValidationError, match="kcfg must be a KernelConfig"):
+            mmd_vstat(d1, d2, bad)
 
 
 def _quantiles(d, level):

@@ -183,6 +183,11 @@ def test_estimator_config_validation():
         EstimatorConfig(kernel=k, ridge_lambda=-1.0)
     with pytest.raises(ValidationError, match="ridge_lambda"):
         EstimatorConfig(k, None)
+    with pytest.raises(ValidationError, match="ridge_lambda must be finite, got nan"):
+        EstimatorConfig(k, float("nan"))
+    for bad in (0.1, None, EstimatorConfig(k)):
+        with pytest.raises(ValidationError, match="kernel must be a KernelConfig"):
+            EstimatorConfig(bad)
     # every estimator refuses a missing or wrong-typed config by name
     fwd = Dag(["X", "Y"], [("X", "Y")])
     d = sample_m1(3, 50, 5)

@@ -180,3 +180,8 @@ def test_dag_rejects_bad_edges():
     for edge in (("X",), ("X", "Y", "Z"), 5, "XY"):
         with pytest.raises(ValidationError, match="is not a \\(parent, child\\) pair"):
             Dag(["X", "Y", "Z"], [edge])
+
+
+def test_dag_refuses_a_string_of_nodes():
+    with pytest.raises(ValidationError, match="nodes must be a sequence of node names"):
+        Dag("XY", [])

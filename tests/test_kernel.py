@@ -41,10 +41,16 @@ def test_kernel_bounded_and_self_one():
 
 
 def test_kernel_rejects_non_finite():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="kernel input x must be finite, got nan"):
         gaussian_kernel(np.nan, 0.0, KernelConfig(1.0))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="kernel input y must be finite, got inf"):
         gaussian_kernel(0.0, np.inf, KernelConfig(1.0))
+
+
+def test_kernel_rejects_non_real_inputs():
+    for x, y in (("a", 1.0), (1.0, None), (1j, 0.0)):
+        with pytest.raises(ValidationError, match="kernel input [xy] must be a real number"):
+            gaussian_kernel(x, y, KernelConfig(1.0))
 
 
 def test_bandwidth_must_be_positive():
@@ -54,6 +60,9 @@ def test_bandwidth_must_be_positive():
         KernelConfig(-1.0)
     with pytest.raises(ValidationError, match="bandwidth_sq"):
         KernelConfig("1")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="bandwidth_sq must be finite"):
+            KernelConfig(bad)
 
 
 def test_gram_same_column_unit_diagonal_symmetric():
@@ -131,6 +140,15 @@ def test_median_heuristic_identical_values_error():
         median_heuristic([3.0, 3.0, 3.0])
     with pytest.raises(ValidationError):
         median_heuristic([1.0])
+
+
+def test_median_heuristic_refuses_non_numeric_and_matrix_input():
+    for bad in (["a", "b"], [1j, 2.0], [object(), 1.0]):
+        with pytest.raises(ValidationError, match="median heuristic needs real values"):
+            median_heuristic(bad)
+    for bad in ([[0.0, 1.0], [2.0, 3.0]], np.zeros((3, 1)), 2.0):
+        with pytest.raises(ValidationError, match="needs a 1-D column"):
+            median_heuristic(bad)
 
 
 def test_median_heuristic_zero_median_error_counts_the_equal_pairs():

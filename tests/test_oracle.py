@@ -201,3 +201,10 @@ def test_gaussian1d_validation():
         Gaussian1D(0.0, 0.0)
     with pytest.raises(ValidationError):
         Gaussian1D(np.nan, 1.0)
+    with pytest.raises(ValidationError, match="variance must be finite, got inf"):
+        Gaussian1D(0.0, np.inf)
+    for mean, variance in (("a", 1.0), (0.0, None)):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            Gaussian1D(mean, variance)
+    with pytest.raises(ValidationError, match="bandwidth_sq must be a real number"):
+        gaussian_embedding_inner(Gaussian1D(0.0, 1.0), Gaussian1D(0.0, 1.0), "1")

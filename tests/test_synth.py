@@ -112,6 +112,33 @@ def test_model_validation():
         LinearGaussianScm(dag, {}, {"X": 1.0, "Y": "1"})
     with pytest.raises(ValidationError):
         sample_scm(LinearGaussianScm(dag, {}, {"X": 1.0, "Y": 1.0}), 0, 0)
+    with pytest.raises(ValidationError, match="noise variance for unknown node 'Z'"):
+        LinearGaussianScm(dag, {}, {"X": 1.0, "Y": 1.0, "Z": 1.0})
+
+
+def test_model_parameters_must_be_finite():
+    dag = Dag(["X", "Y"], [("X", "Y")])
+    unit = {"X": 1.0, "Y": 1.0}
+    with pytest.raises(ValidationError, match=r"coefficients\[\('X', 'Y'\)\] must be finite"):
+        m1_scm(float("nan"))
+    with pytest.raises(ValidationError, match=r"coefficients\[\('X', 'Y'\)\] must be finite"):
+        LinearGaussianScm(dag, {("X", "Y"): np.float64(np.nan)}, unit)
+    with pytest.raises(ValidationError, match=r"intercepts\['Y'\] must be finite, got -inf"):
+        LinearGaussianScm(dag, {}, unit, {"Y": -np.inf})
+    with pytest.raises(ValidationError, match=r"noise_variances\['Y'\] must be finite, got inf"):
+        LinearGaussianScm(dag, {}, {"X": 1.0, "Y": float("inf")})
+
+
+def test_sample_size_and_seed_must_be_integers():
+    m = m1_scm(1.0)
+    for n, seed, what in ((2.5, 0, "sample size"), (0, 0, "sample size"),
+                          (True, 0, "sample size"), (5, 1.5, "seed"), (5, -1, "seed"),
+                          (5, False, "seed"), (5, "1", "seed")):
+        with pytest.raises(ValidationError, match=f"{what} must be an integer >= "):
+            sample_scm(m, n, seed)
+    got = sample_scm(m, np.int64(5), np.int64(1))
+    assert got.id == "scm-n5-seed1"
+    assert got.column("Y").tobytes() == sample_scm(m, 5, 1).column("Y").tobytes()
 
 
 SACHS_SAMPLE = """
